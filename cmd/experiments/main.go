@@ -62,7 +62,7 @@ func run(args []string) error {
 		duration = fs.Duration("duration", 0, "override measurement window")
 		pause    = fs.Duration("pause", 0, "override dwell time between movements")
 		service  = fs.Duration("service", 0, "override per-message broker processing cost")
-		workers  = fs.Int("workers", 0, "broker dispatch workers (>1 enables the parallel publication pipeline)")
+		workers  = fs.Int("workers", 0, "broker dispatch workers (>1 matches runs of publications in parallel)")
 		seed     = fs.Int64("seed", 0, "override workload seed")
 		buckets  = fs.Int("buckets", 10, "time buckets for latency-over-time figures")
 		csvOut   = fs.String("csv", "", "directory to write per-figure CSV data into")

@@ -11,19 +11,19 @@ import (
 // clockReadsPerDispatch is a conservative upper bound on the number of
 // clock-seam calls (Now/Since) one publication pays on the dispatch path:
 // the inbox-wait stamp at enqueue, the wait observation and dispatch stamp
-// at dequeue, the match timer pair, the commit-wait and egress-flush
-// observations, and slack for the journal stamp.
+// at dequeue, the match timer pair, the dispatch timer pair, and slack for
+// the journal stamp.
 const clockReadsPerDispatch = 8
 
 // BenchmarkSimClockOverhead bounds what the deterministic simulator's clock
 // seam costs the real-time dispatch path. Every time read on the hot path
 // goes through the sim.Clock interface now (sim.Wall in production), so the
 // seam cannot be toggled off; instead the benchmark measures the realistic
-// per-dispatch cost on a live pipeline testbed (on-ns/op) and the seam's
+// per-dispatch cost on a live broker testbed (on-ns/op) and the seam's
 // marginal cost directly — the per-call difference between sim.Wall.Now()
 // through the interface and a raw time.Now(), multiplied by the
 // clockReadsPerDispatch bound. off-ns/op is the dispatch cost with that
-// margin subtracted, i.e. the counterfactual direct-call pipeline. The
+// margin subtracted, i.e. the counterfactual direct-call broker. The
 // budget holds the indirection to <= 5% of per-publication dispatch cost
 // (benchjson -require-sim, BENCH_sim.json, `make bench-sim`).
 func BenchmarkSimClockOverhead(b *testing.B) {

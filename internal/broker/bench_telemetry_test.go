@@ -15,10 +15,10 @@ import (
 
 // BenchmarkTelemetryOverhead measures what the latency observatory's
 // per-stage instrumentation costs the publication dispatch hot path: the
-// same stream runs through two identical pipeline testbeds, one with stage
+// same stream runs through two identical broker testbeds, one with stage
 // timing disabled (no clock reads: the bare path) and one with the default
-// instrumentation on (inbox-wait stamps, commit-wait and egress-flush
-// timers). The budget holds the difference to <= 5% of per-publication
+// instrumentation on (the inbox-wait stamp at enqueue and its observation
+// at dispatch). The budget holds the difference to <= 5% of per-publication
 // cost — the "observability must not distort what it observes" gate.
 //
 // As in BenchmarkWALOverhead, the two modes alternate in small chunks
@@ -63,7 +63,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 }
 
-// telemBench is one pipeline testbed (four workers, no simulated service
+// telemBench is one broker testbed (Workers=4, no simulated service
 // time) shaped like walBench: benchSubs subscriptions so every publication
 // pays a realistic matching scan before local delivery.
 type telemBench struct {

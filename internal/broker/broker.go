@@ -20,10 +20,13 @@
 //     or aborts (delete revised), which confines movement traffic to the
 //     path.
 //
-// Each broker runs a single goroutine that drains an unbounded FIFO inbox;
-// an optional per-message service time models broker processing cost so
-// that propagation bursts congest the broker queues, as they do in the
-// paper's testbed.
+// Each broker dispatches its FIFO inbox — unbounded by default, bounded
+// with producer backpressure under Config.InboxCapacity — one message at a
+// time through a single step function (dispatch.go). Two thin drivers
+// (driver.go) pace that step: a goroutine in production, one armed event
+// per broker under the simulator. An optional per-message service time
+// models broker processing cost so that propagation bursts congest the
+// broker queues, as they do in the paper's testbed.
 package broker
 
 import (
@@ -74,17 +77,19 @@ type Config struct {
 	// messages cost a quarter of it: forwarding them is a routing-table
 	// lookup, not a matching pass.
 	ServiceTime time.Duration
-	// Workers sets the width of the publication dispatch pipeline: with
-	// Workers > 1 publications are matched in parallel by a worker pool and
-	// re-sequenced before egress, so per-source→per-link FIFO order is
-	// preserved. Control and routing-state messages (3PC, subscriptions,
-	// advertisements, retractions) always run on the serialized dispatch
-	// lane. Values <= 1 keep the fully serial dispatch loop.
+	// Workers sets the width of publication matching: with Workers > 1 the
+	// dispatcher takes up to Workers consecutive publications off the inbox
+	// head at once, matches them concurrently, and then forwards and
+	// delivers them itself in inbox order, so per-source→per-link FIFO
+	// order is preserved. Control and routing-state messages (3PC,
+	// subscriptions, advertisements, retractions) are always dispatched
+	// singly. Values <= 1 match one publication at a time.
 	Workers int
 	// InboxCapacity bounds the broker inbox. When the inbox is full the
 	// transport handler blocks, which propagates backpressure to the
 	// sending link goroutines instead of growing the queue without bound.
-	// 0 keeps the unbounded inbox.
+	// 0 keeps the unbounded inbox, as does running under the simulator,
+	// whose single event loop cannot block a producer.
 	InboxCapacity int
 	// DataDir, when non-empty, enables durable broker state: routing-table
 	// mutations and movement-transaction transitions are written ahead to a
@@ -114,18 +119,12 @@ type Broker struct {
 	jclock atomic.Pointer[brokerClock]
 	// clk is the broker's time source, inherited from the transport so one
 	// cluster-wide knob switches real and simulated time. sched is non-nil
-	// in scheduled (simulation) mode: the dispatch goroutine is replaced by
-	// per-message loop events and every timer lands on the event heap.
+	// under the simulator and selects the event driver (driver.go).
 	clk   sim.Clock
 	sched sim.Scheduler
 
 	srt *matching.SRT
 	prt *matching.PRT
-
-	// pipe is the parallel dispatch pipeline; nil when cfg.Workers <= 1.
-	// It is created by the dispatch goroutine and used only by it and by
-	// the goroutines it owns.
-	pipe *pipeline
 
 	mu        sync.Mutex
 	inbox     []inboxItem
@@ -133,11 +132,7 @@ type Broker struct {
 	spaceCond *sync.Cond // signalled when the bounded inbox frees a slot
 	stopped   bool
 	paused    bool
-	// busy marks a scheduled-mode dispatch in flight across a service-time
-	// delay; deferred counts dispatch events consumed while paused or busy,
-	// to be re-posted when the broker frees up. Scheduled mode only.
-	busy      bool
-	deferred  int
+	armed     bool // the event driver's one wake-up is posted or in service
 	clients   map[message.NodeID]ClientDeliver
 	sentSubs  map[message.SubID]map[message.NodeID]bool
 	sentAdvs  map[message.AdvID]map[message.NodeID]bool
@@ -227,9 +222,7 @@ func (b *Broker) SetControlSink(fn ControlSink) {
 // in-doubt movement transactions, begins resolving them by querying their
 // target coordinators.
 func (b *Broker) Start() {
-	if b.sched == nil {
-		go b.run()
-	}
+	b.startDriver()
 	b.mu.Lock()
 	pending := b.indoubt
 	b.indoubt = nil
@@ -240,12 +233,13 @@ func (b *Broker) Start() {
 }
 
 // Stop terminates the processing goroutine and waits for it to exit.
-// Messages remaining in the inbox are released without processing.
+// Messages remaining in the inbox — and one still paying its simulated
+// service delay — are released without processing.
 func (b *Broker) Stop() {
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
-		<-b.done
+		b.waitDriver()
 		return
 	}
 	b.stopped = true
@@ -261,11 +255,7 @@ func (b *Broker) Stop() {
 	b.cond.Signal()
 	b.spaceCond.Broadcast()
 	b.mu.Unlock()
-	if b.sched != nil {
-		// Scheduled mode has no dispatch goroutine to wait out.
-		close(b.done)
-	}
-	<-b.done
+	b.waitDriver()
 	if b.repl != nil {
 		b.repl.Stop()
 	}
@@ -290,14 +280,7 @@ func (b *Broker) Unpause() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.paused = false
-	b.cond.Signal()
-	if b.sched != nil {
-		// Re-post the dispatch events consumed while paused.
-		for i := 0; i < b.deferred; i++ {
-			b.sched.Post(b.dispatchOne)
-		}
-		b.deferred = 0
-	}
+	b.wakeLocked()
 }
 
 // AttachClient registers a locally connected client by its
@@ -374,8 +357,7 @@ type Stats struct {
 	// journal are working from incomplete evidence — at best LOSSY.
 	JournalDropped  uint64
 	DispatchLatency telemetry.HistogramSnapshot
-	// Stages holds the per-stage latency snapshots (inbox_wait, match, and
-	// — with the parallel pipeline — commit_wait and egress_flush).
+	// Stages holds the per-stage latency snapshots (inbox_wait, match).
 	Stages map[string]telemetry.HistogramSnapshot
 }
 
@@ -420,10 +402,10 @@ type inboxItem struct {
 	at  time.Time
 }
 
-// enqueue is the transport handler: it appends to the FIFO inbox. With a
-// bounded inbox, a full queue blocks the caller (a transport link goroutine
-// or a local injector) until the dispatcher frees a slot — backpressure in
-// place of unbounded growth.
+// enqueue is the transport handler: it appends to the FIFO inbox and wakes
+// the driver. With a bounded inbox, a full queue blocks the caller (a
+// transport link goroutine or a local injector) until the dispatcher frees
+// a slot — backpressure in place of unbounded growth.
 func (b *Broker) enqueue(env message.Envelope) {
 	it := inboxItem{env: env}
 	if b.tel.StageTimingEnabled() {
@@ -431,14 +413,7 @@ func (b *Broker) enqueue(env message.Envelope) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Backpressure blocking would deadlock the single event-loop goroutine,
-	// so scheduled mode keeps the inbox unbounded.
-	if cap := b.cfg.InboxCapacity; b.sched == nil && cap > 0 && len(b.inbox) >= cap && !b.stopped {
-		b.tel.BackpressureWaits.Inc()
-		for len(b.inbox) >= cap && !b.stopped {
-			b.spaceCond.Wait()
-		}
-	}
+	b.awaitSpaceLocked()
 	if b.stopped {
 		b.cfg.Net.Done(env.Msg)
 		return
@@ -447,159 +422,10 @@ func (b *Broker) enqueue(env message.Envelope) {
 	depth := int64(len(b.inbox))
 	b.tel.QueueDepth.Set(depth)
 	b.tel.QueueHighWater.Observe(depth)
-	if b.sched != nil {
-		// One dispatch event per queued item. Extra events (re-posted after
-		// a pause, say) find an empty inbox and no-op.
-		b.sched.Post(b.dispatchOne)
-		return
-	}
-	b.cond.Signal()
+	b.wakeLocked()
 }
 
-// dispatchOne is the scheduled-mode dispatcher: one loop event processes one
-// inbox item. A per-message service time does not sleep — it re-posts the
-// tail of the dispatch as a later event, leaving the loop free, so simulated
-// broker congestion behaves like the real dispatch goroutine's.
-func (b *Broker) dispatchOne() {
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		return
-	}
-	if b.paused || b.busy {
-		b.deferred++
-		b.mu.Unlock()
-		return
-	}
-	if len(b.inbox) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	it := b.inbox[0]
-	b.inbox = b.inbox[1:]
-	b.tel.QueueDepth.Set(int64(len(b.inbox)))
-	var cost time.Duration
-	if b.cfg.ServiceTime > 0 {
-		cost = b.cfg.ServiceTime
-		if it.env.Msg.Kind().IsControl() {
-			cost /= 4
-		}
-		b.busy = true
-	}
-	b.mu.Unlock()
-	if !it.at.IsZero() {
-		b.tel.InboxWait.Observe(b.clk.Since(it.at))
-	}
-	if cost > 0 {
-		b.sched.AfterFunc(cost, func() { b.finishDispatch(it.env) })
-		return
-	}
-	b.finishDispatch(it.env)
-}
-
-// finishDispatch journals, processes and accounts one envelope, then
-// releases any dispatch events deferred while the broker was busy.
-func (b *Broker) finishDispatch(env message.Envelope) {
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		b.cfg.Net.Done(env.Msg)
-		return
-	}
-	b.mu.Unlock()
-	if j := b.journal(); j != nil {
-		j.Add(journal.Record{
-			Site: string(b.cfg.ID), Cat: journal.CatBroker, Kind: journal.KindDispatch,
-			Lamport: b.clock(j).Tick(), Tx: string(env.Msg.Tag()),
-			Ref: message.RefOf(env.Msg), From: string(env.From),
-			Detail: env.Msg.Kind().String(),
-		})
-	}
-	t0 := b.clk.Now()
-	b.process(env)
-	b.tel.DispatchLatency.Observe(b.clk.Since(t0))
-	b.tel.Processed.Inc()
-	b.tel.SRTSize.Set(int64(b.srt.Len()))
-	b.tel.PRTSize.Set(int64(b.prt.Len()))
-	b.cfg.Net.Done(env.Msg)
-	b.mu.Lock()
-	b.busy = false
-	again := b.deferred
-	b.deferred = 0
-	b.mu.Unlock()
-	for i := 0; i < again; i++ {
-		b.sched.Post(b.dispatchOne)
-	}
-}
-
-func (b *Broker) run() {
-	defer close(b.done)
-	if b.cfg.Workers > 1 {
-		b.pipe = newPipeline(b, b.cfg.Workers)
-		defer b.pipe.close()
-	}
-	for {
-		b.mu.Lock()
-		for (len(b.inbox) == 0 || b.paused) && !b.stopped {
-			b.cond.Wait()
-		}
-		if b.stopped {
-			b.mu.Unlock()
-			return
-		}
-		it := b.inbox[0]
-		b.inbox = b.inbox[1:]
-		b.tel.QueueDepth.Set(int64(len(b.inbox)))
-		b.spaceCond.Signal()
-		b.mu.Unlock()
-		env := it.env
-		if !it.at.IsZero() {
-			b.tel.InboxWait.Observe(b.clk.Since(it.at))
-		}
-
-		if j := b.journal(); j != nil {
-			j.Add(journal.Record{
-				Site: string(b.cfg.ID), Cat: journal.CatBroker, Kind: journal.KindDispatch,
-				Lamport: b.clock(j).Tick(), Tx: string(env.Msg.Tag()),
-				Ref: message.RefOf(env.Msg), From: string(env.From),
-				Detail: env.Msg.Kind().String(),
-			})
-		}
-
-		if b.pipe != nil {
-			if m, ok := env.Msg.(message.Publish); ok {
-				// Publications take the parallel lane: matching runs in the
-				// worker pool and the committer re-establishes inbox order
-				// before egress. Accounting for the message completes there.
-				b.pipe.submit(env, m)
-				continue
-			}
-			// Everything else is serialized: drain the parallel lane first so
-			// routing-table mutations and control traffic never overlap — or
-			// overtake — an in-flight publication.
-			b.pipe.drain()
-		}
-
-		if b.cfg.ServiceTime > 0 {
-			cost := b.cfg.ServiceTime
-			if env.Msg.Kind().IsControl() {
-				cost /= 4
-			}
-			b.clk.Sleep(cost)
-		}
-		// Measure the real dispatch cost (matching and forwarding), not the
-		// simulated service delay above.
-		t0 := b.clk.Now()
-		b.process(env)
-		b.tel.DispatchLatency.Observe(b.clk.Since(t0))
-		b.tel.Processed.Inc()
-		b.tel.SRTSize.Set(int64(b.srt.Len()))
-		b.tel.PRTSize.Set(int64(b.prt.Len()))
-		b.cfg.Net.Done(env.Msg)
-	}
-}
-
-// process dispatches one message. It runs on the broker goroutine.
+// process handles one message. It runs on the dispatching goroutine.
 func (b *Broker) process(env message.Envelope) {
 	switch m := env.Msg.(type) {
 	case message.Advertise:
@@ -637,18 +463,6 @@ func (b *Broker) send(to message.NodeID, m message.Message) {
 		// A send can only fail when the destination detached concurrently
 		// (e.g. a moving client); the message is dropped, which the paper's
 		// model treats as a masked transient fault.
-		return
-	}
-}
-
-// sendBatch transmits a run of messages to one directly connected node
-// under a single transport enqueue, preserving their order.
-func (b *Broker) sendBatch(to message.NodeID, msgs []message.Message) {
-	for _, m := range msgs {
-		b.tel.CountSend(m.Kind())
-	}
-	if err := b.cfg.Net.SendBatch(b.cfg.ID.Node(), to, msgs); err != nil {
-		// Same masked-transient-fault semantics as send.
 		return
 	}
 }

@@ -378,11 +378,18 @@ func (b *Broker) maybeSendSub(id message.SubID, client message.ClientID, f *pred
 
 // --- publication handling ---------------------------------------------------
 
+// pubAction is one outbound effect of a publication: a forward to a
+// neighbor broker (deliver nil) or a delivery to a local client.
+type pubAction struct {
+	dest      message.NodeID
+	deliver   ClientDeliver
+	subClient message.ClientID
+}
+
 // planPublish matches a publication against the routing tables and returns
 // its outbound actions (forwards and local deliveries) without performing
-// them. It reads the tables through their lock-free match snapshots, so the
-// parallel dispatch workers call it concurrently; the serial lane executes
-// the plan inline via handlePublish.
+// them. It reads the tables through their lock-free match snapshots, so
+// dispatch may run it concurrently for a run of publications.
 func (b *Broker) planPublish(m message.Publish, from message.NodeID) []pubAction {
 	t0 := b.clk.Now()
 	// A publication is valid only if some advertisement (from its
@@ -417,7 +424,13 @@ func (b *Broker) planPublish(m message.Publish, from message.NodeID) []pubAction
 }
 
 func (b *Broker) handlePublish(m message.Publish, from message.NodeID) {
-	for _, a := range b.planPublish(m, from) {
+	b.forwardPublish(m, b.planPublish(m, from))
+}
+
+// forwardPublish performs a publication's planned actions in order, on the
+// dispatching goroutine.
+func (b *Broker) forwardPublish(m message.Publish, actions []pubAction) {
+	for _, a := range actions {
 		if a.deliver == nil {
 			b.send(a.dest, m)
 			continue

@@ -12,7 +12,7 @@ import (
 )
 
 // populatedRegistry builds a telemetry registry exercising every series
-// family: broker instruments (with stage histograms and egress depths),
+// family: broker instruments (with stage histograms),
 // store instruments, transport and per-link instruments, movement phase
 // histograms, and an AddFamilies contributor.
 func populatedRegistry(t *testing.T) *telemetry.Registry {
@@ -28,9 +28,6 @@ func populatedRegistry(t *testing.T) *telemetry.Registry {
 	bm.DispatchLatency.Observe(120 * time.Microsecond)
 	bm.MatchLatency.Observe(80 * time.Microsecond)
 	bm.InboxWait.Observe(40 * time.Microsecond)
-	bm.Stages.Register(telemetry.StageCommitWait).Observe(15 * time.Microsecond)
-	bm.Stages.Register(telemetry.StageEgressFlush).Observe(60 * time.Microsecond)
-	bm.SetEgressSampler(func() map[string]int { return map[string]int{"b2": 4, "c1": 0} })
 	r.RegisterBroker("b1", bm)
 
 	sm := telemetry.NewStoreMetrics()
@@ -130,15 +127,12 @@ func TestExpositionConformance(t *testing.T) {
 	if v, ok := e.Value("padres_broker_sends_total", map[string]string{"broker": "b1", "kind": "publish"}); !ok || v != 1 {
 		t.Errorf("publish sends = %v, %v", v, ok)
 	}
-	if v, ok := e.Value("padres_broker_egress_depth", map[string]string{"broker": "b1", "dest": "b2"}); !ok || v != 4 {
-		t.Errorf("egress depth = %v, %v", v, ok)
-	}
 	if v, ok := e.Value("padres_extra_total", map[string]string{"src": `quo"ted`}); !ok || v != 5 {
 		t.Errorf("escaped extra = %v, %v", v, ok)
 	}
 	if snap, ok, err := e.Histogram("padres_broker_stage_seconds",
-		map[string]string{"broker": "b1", "stage": telemetry.StageCommitWait}); err != nil || !ok || snap.Count != 1 {
-		t.Errorf("commit_wait stage: ok=%v err=%v count=%d", ok, err, snap.Count)
+		map[string]string{"broker": "b1", "stage": telemetry.StageInboxWait}); err != nil || !ok || snap.Count != 1 {
+		t.Errorf("inbox_wait stage: ok=%v err=%v count=%d", ok, err, snap.Count)
 	}
 	if snap, ok, err := e.Histogram("padres_movement_phase_seconds",
 		map[string]string{"phase": telemetry.PhaseTotal}); err != nil || !ok || snap.Count != 1 {
@@ -167,9 +161,8 @@ func TestExpositionNoDeadInstruments(t *testing.T) {
 func TestDeadInstrumentsDetected(t *testing.T) {
 	r := telemetry.NewRegistry()
 	bm := telemetry.NewBrokerMetrics()
-	bm.Processed.Add(100)                   // processed but no inbox_wait observations
-	bm.CountSend(message.KindPublish)       // forwarded a publication...
-	bm.Stages.Register(telemetry.StageCommitWait) // ...with a registered, silent pipeline stage
+	bm.Processed.Add(100)             // processed but no inbox_wait observations
+	bm.CountSend(message.KindPublish) // forwarded a publication but no match observations
 	r.RegisterBroker("b9", bm)
 	sm := telemetry.NewStoreMetrics()
 	sm.WALAppends.Add(5) // appended but no commit-latency observations
@@ -182,7 +175,7 @@ func TestDeadInstrumentsDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := DeadInstruments(e)
-	wantSubstrings := []string{"inbox_wait", "match", "commit_wait", "commit latency"}
+	wantSubstrings := []string{"inbox_wait", "match", "commit latency"}
 	for _, want := range wantSubstrings {
 		found := false
 		for _, b := range bad {

@@ -14,13 +14,8 @@ import (
 // observed). The checks are per broker label:
 //
 //   - processed messages imply inbox_wait observations;
-//   - forwarded publications imply match observations, and — when the
-//     parallel pipeline's stages are present — commit_wait and
-//     egress_flush observations;
+//   - forwarded publications imply match observations;
 //   - WAL appends imply store commit-latency observations.
-//
-// Stages a broker never registered (a serial broker has no commit_wait)
-// are skipped, so the checks stay valid across pipeline configurations.
 func DeadInstruments(e *Exposition) []string {
 	var out []string
 	brokers := make(map[string]bool)
@@ -57,13 +52,6 @@ func DeadInstruments(e *Exposition) []string {
 		if pubSends > 0 {
 			if snap, ok := stage(telemetry.StageMatch); ok && snap.Count == 0 {
 				out = append(out, fmt.Sprintf("broker %s: forwarded %d publications but match has no observations", b, int64(pubSends)))
-			}
-			// Pipeline-only stages: checked only when the broker advertises
-			// them (their presence means the pipeline ran).
-			for _, name := range []string{telemetry.StageCommitWait, telemetry.StageEgressFlush} {
-				if snap, ok := stage(name); ok && snap.Count == 0 {
-					out = append(out, fmt.Sprintf("broker %s: forwarded %d publications but %s has no observations", b, int64(pubSends), name))
-				}
 			}
 		}
 		if appends, ok := e.SumValues("padres_store_wal_appends_total", want); ok && appends > 0 {

@@ -240,12 +240,10 @@ type FleetSnapshot struct {
 // stageOrder fixes the display order of the pipeline stages; unknown stages
 // sort after the known ones, alphabetically.
 var stageOrder = map[string]int{
-	telemetry.StageInboxWait:   0,
-	telemetry.StageMatch:       1,
-	telemetry.StageCommitWait:  2,
-	telemetry.StageEgressFlush: 3,
-	"wal_fsync":                4,
-	"wal_commit":               5,
+	telemetry.StageInboxWait: 0,
+	telemetry.StageMatch:     1,
+	"wal_fsync":              2,
+	"wal_commit":             3,
 }
 
 // phaseOrder fixes the display order of the movement phases.

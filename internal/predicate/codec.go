@@ -1,15 +1,9 @@
 package predicate
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"padres/internal/wire"
-)
-
-var (
-	_ gob.GobEncoder = (*Filter)(nil)
-	_ gob.GobDecoder = (*Filter)(nil)
 )
 
 // Compact binary codec for the predicate model. This is the wire form used
@@ -167,24 +161,4 @@ func ReadEvent(b []byte) (Event, []byte, error) {
 		e[a] = v
 	}
 	return e, rest, nil
-}
-
-// GobEncode implements gob.GobEncoder using the compact codec, so filters
-// embedded in gob streams cost their payload bytes only — no per-value gob
-// type descriptors.
-func (f *Filter) GobEncode() ([]byte, error) {
-	return f.AppendBinary(nil), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (f *Filter) GobDecode(data []byte) error {
-	dec, rest, err := ReadFilter(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("decode filter: %d trailing bytes", len(rest))
-	}
-	*f = *dec
-	return nil
 }

@@ -374,18 +374,6 @@ func TestFilterSerialization(t *testing.T) {
 	if !f.Equal(&f2) {
 		t.Errorf("JSON round trip changed filter: %s vs %s", f, &f2)
 	}
-
-	gobData, err := f.GobEncode()
-	if err != nil {
-		t.Fatalf("GobEncode: %v", err)
-	}
-	var f3 Filter
-	if err := f3.GobDecode(gobData); err != nil {
-		t.Fatalf("GobDecode: %v", err)
-	}
-	if !f.Equal(&f3) {
-		t.Errorf("gob round trip changed filter: %s vs %s", f, &f3)
-	}
 }
 
 // --- Randomized property tests -------------------------------------------

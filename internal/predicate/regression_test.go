@@ -2,7 +2,6 @@ package predicate
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -33,23 +32,6 @@ func TestEmptyFilterRejectedOnBinaryDecode(t *testing.T) {
 	empty := (&Filter{}).AppendBinary(nil)
 	if _, _, err := ReadFilter(empty); err == nil {
 		t.Fatal("ReadFilter accepted an encoded empty filter")
-	}
-	var f Filter
-	if err := f.GobDecode(empty); err == nil {
-		t.Fatal("GobDecode accepted an encoded empty filter")
-	}
-}
-
-func TestEmptyFilterRejectedOnGobStreamDecode(t *testing.T) {
-	// A hand-built gob stream carrying an empty filter value must fail to
-	// decode into a *Filter, same as the direct paths above.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Filter{}); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var f Filter
-	if err := gob.NewDecoder(&buf).Decode(&f); err == nil {
-		t.Fatal("gob stream decode accepted an empty filter")
 	}
 }
 

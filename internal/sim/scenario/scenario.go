@@ -231,9 +231,9 @@ func (r *Result) Summary() string {
 		verdict = fmt.Sprintf("%d violations", len(r.Report.Violations()))
 	}
 	return fmt.Sprintf(
-		"seed=%d scenario=%s brokers=%d events=%d vtime=%s moves=%d committed=%d aborted=%d unresolved=%d kills=%d partitions=%d records=%d %s",
+		"seed=%d scenario=%s brokers=%d events=%d vtime=%s moves=%d committed=%d aborted=%d unresolved=%d refused=%d kills=%d partitions=%d records=%d %s",
 		r.Seed, r.Scenario, r.Brokers, r.Events, r.VirtualElapsed.Round(time.Millisecond),
-		r.MovesRequested, r.Committed, r.Aborted, r.Unresolved,
+		r.MovesRequested, r.Committed, r.Aborted, r.Unresolved, r.Refused,
 		r.Kills, r.Partitions, r.Records, verdict,
 	)
 }

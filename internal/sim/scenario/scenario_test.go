@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +30,28 @@ func TestCatastropheSmoke(t *testing.T) {
 		for _, v := range res.Report.Violations() {
 			t.Errorf("violation: %s", v)
 		}
+	}
+}
+
+// TestMoveAccountingCloses pins that the movement tallies sum: every
+// scripted move is committed, aborted, unresolved or refused, and the
+// summary line prints all four. Herds twice the subscriber count pick some
+// client twice in one wave by pigeonhole, and a client already moving is
+// refused.
+func TestMoveAccountingCloses(t *testing.T) {
+	res, err := Run(Options{Seed: 3, Scenario: Herd, Brokers: 20, Subscribers: 4, HerdSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(res.Summary())
+	if res.Refused == 0 {
+		t.Fatal("scenario produced no refusals; the identity below would not cover them")
+	}
+	if sum := res.Committed + res.Aborted + res.Unresolved + res.Refused; res.MovesRequested != sum {
+		t.Errorf("moves=%d but committed+aborted+unresolved+refused=%d", res.MovesRequested, sum)
+	}
+	if want := fmt.Sprintf("refused=%d", res.Refused); !strings.Contains(res.Summary(), want) {
+		t.Errorf("summary omits %q: %s", want, res.Summary())
 	}
 }
 

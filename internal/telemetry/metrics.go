@@ -241,25 +241,18 @@ type BrokerMetrics struct {
 	// LinkDownEvents counts breaker-open transitions on this broker's links.
 	LinkDownEvents Counter
 	// Stages is the named per-stage latency registry the dispatch path
-	// reports into: inbox_wait and match always, commit_wait and
-	// egress_flush once the parallel pipeline registers them.
+	// reports into: inbox_wait and match.
 	Stages *StageSet
-	// InboxWait measures the time a message sat in the inbox before the
-	// dispatcher popped it (registered in Stages as inbox_wait).
+	// InboxWait measures the time from a message's enqueue on the inbox to
+	// the start of its dispatch, simulated service delay included
+	// (registered in Stages as inbox_wait).
 	InboxWait *Histogram
 	// sends counts messages sent, by message kind.
 	sends [kindSlots]Counter
 	// stageTiming gates the clock reads behind the stage instruments; the
 	// telemetry-overhead benchmark flips it off to measure the bare path.
 	stageTiming atomic.Bool
-	// egressSampler, when set, reports the current per-destination egress
-	// queue depths; sampled at exposition time only.
-	egressSampler atomic.Pointer[EgressSampler]
 }
-
-// EgressSampler reports per-destination egress queue depths keyed by
-// destination node ID.
-type EgressSampler func() map[string]int
 
 // NewBrokerMetrics returns zeroed broker instruments with stage timing
 // enabled.
@@ -282,25 +275,6 @@ func (bm *BrokerMetrics) SetStageTiming(on bool) { bm.stageTiming.Store(on) }
 
 // StageTimingEnabled reports whether stage timers should read the clock.
 func (bm *BrokerMetrics) StageTimingEnabled() bool { return bm.stageTiming.Load() }
-
-// SetEgressSampler installs the per-destination egress depth callback,
-// invoked only at exposition time. A nil sampler detaches it.
-func (bm *BrokerMetrics) SetEgressSampler(fn EgressSampler) {
-	if fn == nil {
-		bm.egressSampler.Store(nil)
-		return
-	}
-	bm.egressSampler.Store(&fn)
-}
-
-// EgressDepths returns the sampled per-destination egress queue depths, or
-// nil when no sampler is installed.
-func (bm *BrokerMetrics) EgressDepths() map[string]int {
-	if fn := bm.egressSampler.Load(); fn != nil {
-		return (*fn)()
-	}
-	return nil
-}
 
 // CountSend records one outbound message of the given kind.
 func (bm *BrokerMetrics) CountSend(k message.Kind) {
@@ -349,22 +323,11 @@ func (bm *BrokerMetrics) writeProm(pb *PromBuilder, broker string) {
 				[]Label{{"broker", broker}, {"kind", message.Kind(k).String()}}, n)
 		}
 	}
-	if depths := bm.EgressDepths(); depths != nil {
-		dests := make([]string, 0, len(depths))
-		for d := range depths {
-			dests = append(dests, d)
-		}
-		sort.Strings(dests)
-		for _, d := range dests {
-			pb.Gauge("padres_broker_egress_depth", "Per-destination egress queue depth of the dispatch pipeline.",
-				[]Label{{"broker", broker}, {"dest", d}}, int64(depths[d]))
-		}
-	}
 	pb.Histogram("padres_broker_dispatch_latency_seconds", "Real processing time of one message (matching and forwarding).", l, bm.DispatchLatency.Snapshot())
 	pb.Histogram("padres_broker_match_latency_seconds", "Publication matching pass alone.", l, bm.MatchLatency.Snapshot())
 	stages := bm.Stages.Snapshot()
 	for _, name := range bm.Stages.Names() {
-		pb.Histogram("padres_broker_stage_seconds", "Per-stage dispatch latency, keyed by pipeline stage.",
+		pb.Histogram("padres_broker_stage_seconds", "Per-stage dispatch latency, keyed by stage.",
 			[]Label{{"broker", broker}, {"stage", name}}, stages[name])
 	}
 }

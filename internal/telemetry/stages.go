@@ -2,19 +2,13 @@ package telemetry
 
 import "sync"
 
-// Canonical broker pipeline stage names. inbox_wait and match exist on
-// every broker; commit_wait and egress_flush are registered by the
-// parallel dispatch pipeline when it starts, so their absence on a
-// serial-dispatch broker is visible to monitors instead of reading as a
-// dead instrument.
+// Canonical broker dispatch stage names; both exist on every broker.
 const (
-	StageInboxWait   = "inbox_wait"
-	StageMatch       = "match"
-	StageCommitWait  = "commit_wait"
-	StageEgressFlush = "egress_flush"
+	StageInboxWait = "inbox_wait"
+	StageMatch     = "match"
 )
 
-// StageSet is a named-histogram registry: each pipeline stage registers a
+// StageSet is a named-histogram registry: each dispatch stage registers a
 // latency histogram under a stable name, and monitors snapshot the whole
 // set without knowing the stage list ahead of time. Registration takes the
 // set's mutex; observation is on the returned *Histogram and stays

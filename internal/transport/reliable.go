@@ -5,15 +5,16 @@ import (
 	"time"
 
 	"padres/internal/message"
+	"padres/internal/sim"
 )
 
 // The link reliability layer: control-plane traffic on a Reliable link is
 // stamped with a per-link monotonic sequence number and held in a bounded
-// resend queue until the receiver's cumulative ack covers it. A dedicated
-// per-link goroutine retransmits overdue entries with jittered exponential
-// backoff; the receive side deduplicates (seq <= cum) and resequences
-// out-of-order arrivals so injected duplicates, reorderings, and
-// retransmits never double-apply routing or 3PC state. A pending entry
+// resend queue until the receiver's cumulative ack covers it. A per-link
+// timer chain (armRetransmit) retransmits overdue entries with jittered
+// exponential backoff; the receive side deduplicates (seq <= cum) and
+// resequences out-of-order arrivals so injected duplicates, reorderings,
+// and retransmits never double-apply routing or 3PC state. A pending entry
 // that exhausts MaxAttempts — or a resend queue that overflows — trips the
 // link's circuit breaker: every queued entry is drained to the dead-letter
 // counter, further reliable sends fail fast with ErrLinkDown, and the
@@ -74,10 +75,10 @@ func reliableKind(k message.Kind) bool {
 
 // pendingMsg is one unacknowledged resend-queue entry. nextAt is stamped
 // lazily: the send path leaves it zero (sparing a clock read per message)
-// and the retransmit loop fills it in on its next wake-up, which happens
-// within one Base period of the append. An entry's first retransmission
-// may therefore lag its send by up to 2*Base — retransmit pacing is
-// best-effort; correctness rides on the ack/dedup protocol.
+// and the retransmit timer fills it in the next time it is armed or fires,
+// which happens within one Base period of the append. An entry's first
+// retransmission may therefore lag its send by up to 2*Base — retransmit
+// pacing is best-effort; correctness rides on the ack/dedup protocol.
 type pendingMsg struct {
 	env      message.Envelope
 	attempts int
@@ -112,14 +113,13 @@ type relState struct {
 	down  bool
 	epoch uint64
 
-	// timerArmed (under mu) is true while the retransmit loop has a timer
-	// pending; senders then skip the wake-up kick entirely — the firing
+	// timer (under mu) is the pending retransmit wake-up and timerArmed is
+	// true until it fires; senders then skip arming entirely — the firing
 	// timer recomputes every deadline, including newly appended entries'.
+	// closed ends the chain for good once the link is torn down.
+	timer      sim.Timer
 	timerArmed bool
-
-	kick chan struct{} // wakes the retransmit loop after queue changes
-	quit chan struct{}
-	once sync.Once
+	closed     bool
 
 	// ackDelay is the ack coalescing window: in-order deliveries arm one
 	// timer and the cumulative ack covers everything that arrived inside
@@ -140,8 +140,6 @@ func newRelState(opts RetransmitOptions, seed int64) *relState {
 	return &relState{
 		opts:     opts,
 		rng:      newLockedRand(seed),
-		kick:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
 		ackDelay: delay,
 	}
 }
@@ -157,21 +155,16 @@ func (r *relState) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
 }
 
-// kickLoop nudges the retransmit goroutine to recompute its deadline.
-func (r *relState) kickLoop() {
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
-
-// shutdown stops the retransmit goroutine and releases the accounting of
+// shutdown stops the retransmit timer and releases the accounting of
 // everything still pending or buffered. Pending entries the receiver
 // already accepted carry no token (it was released at first accept), so
 // only never-accepted entries and buffered frames release here.
 func (r *relState) shutdown(n *Network) {
-	r.once.Do(func() { close(r.quit) })
 	r.mu.Lock()
+	r.closed = true
+	if r.timer != nil {
+		r.timer.Stop()
+	}
 	pend := r.pend
 	r.pend = nil
 	r.rmu.Lock()
@@ -279,7 +272,7 @@ func (n *Network) resetBreaker(l *link) {
 	}
 	n.tel.LinksDown.Dec()
 	n.notifyLinkState(l.from, l.to, true)
-	l.kickRetransmit()
+	l.armRetransmit()
 }
 
 // sendReliable assigns the next sequence number, parks the message in the
@@ -314,75 +307,21 @@ func (n *Network) sendReliable(l *link, msg message.Message) error {
 	env.Seq = r.nextSeq
 	r.pend = append(r.pend, pendingMsg{env: env, sentAt: sentAt})
 	l.lm.ResendDepth.Set(int64(len(r.pend)))
-	// Wake the retransmit loop only when it is idle with no timer armed:
-	// an armed timer recomputes every deadline (including this entry's)
-	// when it fires, and after a full ack the armed timer is at most one
-	// backoff period out. Skipping the wake-up otherwise keeps the
-	// loss-free fast path free of per-send goroutine churn; the worst case
-	// is a first retransmit delayed by up to one extra backoff period,
-	// which only matters when loss is already present.
+	// Arm the retransmit timer only when none is pending: an armed timer
+	// recomputes every deadline (including this entry's) when it fires, and
+	// after a full ack the armed timer is at most one backoff period out.
+	// Skipping the arm otherwise keeps the loss-free fast path free of
+	// per-send timer churn; the worst case is a first retransmit delayed by
+	// up to one extra backoff period, which only matters when loss is
+	// already present.
 	wake := len(r.pend) == 1 && !r.timerArmed
 	epoch := r.epoch
 	r.mu.Unlock()
 	if wake {
-		l.kickRetransmit()
+		l.armRetransmit()
 	}
 	l.enqueue(env, true, epoch)
 	return nil
-}
-
-// sendReliableBatch is the batched sendReliable used by the broker's
-// egress flushers: the whole run takes its tokens, its sequence numbers,
-// and its consecutive FIFO slots under one acquisition of each lock, so a
-// reliable link costs the batching sender the same lock traffic as a
-// best-effort one.
-func (n *Network) sendReliableBatch(l *link, msgs []message.Message) error {
-	r := l.rel
-	envs := make([]message.Envelope, len(msgs))
-	for i, msg := range msgs {
-		envs[i] = n.prepareSend(l, l.from, l.to, msg, 2)
-	}
-	sentAt := n.clk.Now()
-	r.mu.Lock()
-	if r.down {
-		r.mu.Unlock()
-		l.lm.DeadLetters.Add(int64(len(msgs)))
-		return n.deadLetterPrepared(msgs)
-	}
-	if len(r.pend)+len(msgs) > r.opts.QueueLimit {
-		pend, oo := r.tripLocked()
-		r.mu.Unlock()
-		n.finishTrip(l, pend, oo)
-		l.lm.DeadLetters.Add(int64(len(msgs)))
-		return n.deadLetterPrepared(msgs)
-	}
-	wake := len(r.pend) == 0 && !r.timerArmed
-	for i := range envs {
-		r.nextSeq++
-		envs[i].Seq = r.nextSeq
-		r.pend = append(r.pend, pendingMsg{env: envs[i], sentAt: sentAt})
-	}
-	l.lm.ResendDepth.Set(int64(len(r.pend)))
-	epoch := r.epoch
-	r.mu.Unlock()
-	if wake {
-		l.kickRetransmit()
-	}
-	l.enqueueBatch(envs, epoch)
-	return nil
-}
-
-// deadLetterPrepared releases both tokens of every already-prepared
-// message in a batch that hit an open breaker, counts the dead letters,
-// and reports the failure.
-func (n *Network) deadLetterPrepared(msgs []message.Message) error {
-	both := make([]message.Message, 0, 2*len(msgs))
-	for _, m := range msgs {
-		both = append(both, m, m)
-	}
-	n.reg.MsgDoneBatch(both)
-	n.tel.DeadLetters.Add(int64(len(msgs)))
-	return ErrLinkDown
 }
 
 // deliverReliable runs the receive side of the protocol for one sequenced
@@ -511,10 +450,10 @@ func (n *Network) sendAck(l *link, cum uint64, epoch uint64) {
 // sender-side mu, safe for the overlapping callers the direct ack path
 // produces (an ack-window timer flush racing a duplicate's re-ack).
 //
-// The retransmit loop is deliberately not woken here: after a trim its
-// armed timer just fires at the now-acked entry's old deadline, finds
-// nothing due, and goes back to sleep. One spurious wake per retransmit
-// period is far cheaper than a forced wake per ack window.
+// The retransmit timer is deliberately left alone here: after a trim it
+// just fires at the now-acked entry's old deadline, finds nothing due, and
+// re-arms only if something is still pending. One spurious firing per
+// retransmit period is far cheaper than a timer reset per ack window.
 func (n *Network) handleAck(l *link, ack message.LinkAck) {
 	n.mu.Lock()
 	fwd := n.links[linkID{l.to, l.from}]
@@ -566,27 +505,16 @@ func (n *Network) handleAck(l *link, ack message.LinkAck) {
 	r.mu.Unlock()
 }
 
-// kickRetransmit nudges the link's retransmit pacing after a queue change:
-// in real time it wakes the pacing goroutine, in scheduled mode it arms (or
-// relies on) the pacing event on the loop.
-func (l *link) kickRetransmit() {
-	if l.net.sched != nil {
-		l.armRetransmitEvent()
-		return
-	}
-	l.rel.kickLoop()
-}
-
-// armRetransmitEvent is the scheduled-mode pacer: stamp the deadlines the
-// send path left zero, post one loop event at the earliest, and have the
-// event resend what is due and re-arm itself while entries remain. It
-// shares the timerArmed flag with the goroutine pacer, so senders skip
-// redundant arms exactly as they skip redundant kicks.
-func (l *link) armRetransmitEvent() {
+// armRetransmit paces retransmission as a self-re-arming timer chain on the
+// network clock (time.AfterFunc in production, the event heap in
+// simulation): stamp the deadlines the send path left zero, set one timer
+// for the earliest, and have it resend what is due and re-arm while entries
+// remain. A no-op while a timer is already pending.
+func (l *link) armRetransmit() {
 	r := l.rel
 	r.mu.Lock()
-	if r.down || len(r.pend) == 0 || r.timerArmed {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.closed || r.down || len(r.pend) == 0 || r.timerArmed {
 		return
 	}
 	now := l.net.clk.Now()
@@ -601,75 +529,13 @@ func (l *link) armRetransmitEvent() {
 		}
 	}
 	r.timerArmed = true
-	r.mu.Unlock()
-	l.net.sched.AfterFunc(next.Sub(now), func() {
+	r.timer = l.net.clk.AfterFunc(next.Sub(now), func() {
 		r.mu.Lock()
 		r.timerArmed = false
 		r.mu.Unlock()
 		l.resendDue()
-		l.armRetransmitEvent()
+		l.armRetransmit()
 	})
-}
-
-// retransmitLoop is the per-reliable-link pacing goroutine: it sleeps
-// until the earliest pending deadline, resends what is due, and trips the
-// breaker when an entry exhausts its attempts.
-func (l *link) retransmitLoop() {
-	defer l.net.wg.Done()
-	r := l.rel
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		r.mu.Lock()
-		wait := time.Duration(-1)
-		if !r.down && len(r.pend) > 0 {
-			// Stamp deadlines the send path left zero, then find the
-			// earliest. The jitter roll happens here, off the send path.
-			now := time.Now()
-			var next time.Time
-			for i := range r.pend {
-				p := &r.pend[i]
-				if p.nextAt.IsZero() {
-					p.nextAt = now.Add(r.backoff(0))
-				}
-				if next.IsZero() || p.nextAt.Before(next) {
-					next = p.nextAt
-				}
-			}
-			if wait = time.Until(next); wait < 0 {
-				wait = 0
-			}
-		}
-		// Published under mu before the timer is actually reset: a sender
-		// that observes timerArmed and skips its kick is covered either by
-		// the upcoming Reset or by the recompute that follows resendDue.
-		r.timerArmed = wait >= 0
-		r.mu.Unlock()
-		if wait < 0 {
-			// Idle: nothing pending (or breaker open) — wait for a kick.
-			select {
-			case <-r.quit:
-				return
-			case <-r.kick:
-			}
-			continue
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-r.quit:
-			return
-		case <-r.kick:
-			continue
-		case <-timer.C:
-		}
-		l.resendDue()
-	}
 }
 
 // resendDue retransmits every overdue pending entry, advancing its backoff
@@ -687,7 +553,7 @@ func (l *link) resendDue() {
 	for i := range r.pend {
 		p := &r.pend[i]
 		if p.nextAt.IsZero() {
-			// Appended since the loop last stamped deadlines: not due yet.
+			// Appended since the timer last stamped deadlines: not due yet.
 			p.nextAt = now.Add(r.backoff(0))
 			continue
 		}

@@ -249,71 +249,6 @@ func (n *Network) Send(from, to message.NodeID, msg message.Message) error {
 	return nil
 }
 
-// SendBatch transmits a run of messages over the direct link from->to as
-// one enqueue: the batch claims consecutive positions in the link's FIFO
-// queue under a single lock acquisition, so no other sender can interleave
-// within it. Used by the broker's egress flushers. On a reliable link the
-// control-plane messages of the batch take the sequenced path instead; the
-// receive-side resequencer restores their order.
-func (n *Network) SendBatch(from, to message.NodeID, msgs []message.Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	l, err := n.lookupLink(from, to)
-	if err != nil {
-		return err
-	}
-	if l.rel != nil {
-		// Control-plane messages take the sequenced path as one run,
-		// publications stay best-effort. The two classes have no
-		// cross-ordering guarantee on a reliable link anyway — the
-		// receive-side resequencer restores control-plane order. Batches
-		// are almost always homogeneous (a flusher's run of forwards or a
-		// run of publications), so only a mixed batch pays for the split.
-		nRel := 0
-		for _, msg := range msgs {
-			if reliableKind(msg.Kind()) {
-				nRel++
-			}
-		}
-		if nRel == len(msgs) {
-			return n.sendReliableBatch(l, msgs)
-		}
-		var rel, best []message.Message
-		if nRel > 0 {
-			rel = make([]message.Message, 0, nRel)
-			best = make([]message.Message, 0, len(msgs)-nRel)
-			for _, msg := range msgs {
-				if reliableKind(msg.Kind()) {
-					rel = append(rel, msg)
-				} else {
-					best = append(best, msg)
-				}
-			}
-		} else {
-			best = msgs
-		}
-		var firstErr error
-		if len(rel) > 0 {
-			firstErr = n.sendReliableBatch(l, rel)
-		}
-		if len(best) > 0 {
-			envs := make([]message.Envelope, len(best))
-			for i, msg := range best {
-				envs[i] = n.prepareSend(l, from, to, msg, 1)
-			}
-			l.enqueueBatch(envs, 0)
-		}
-		return firstErr
-	}
-	envs := make([]message.Envelope, len(msgs))
-	for i, msg := range msgs {
-		envs[i] = n.prepareSend(l, from, to, msg, 1)
-	}
-	l.enqueueBatch(envs, 0)
-	return nil
-}
-
 // lookupLink resolves the directed link from->to.
 func (n *Network) lookupLink(from, to message.NodeID) (*link, error) {
 	n.mu.Lock()
@@ -429,9 +364,10 @@ func (n *Network) deliverDirect(to message.NodeID, env message.Envelope, counted
 }
 
 // lockedRand is the transport's mutex-guarded randomness source: jitter and
-// fault draws happen on the send path, which is concurrent once brokers
-// dispatch in parallel. It is now sim.Rand — the single seeded-source type
-// every simulated path flows from — kept under its historical name here.
+// fault draws happen on the send path, which any goroutine may enter (a
+// broker's dispatcher, a client, a retransmit timer). It is now sim.Rand —
+// the single seeded-source type every simulated path flows from — kept
+// under its historical name here.
 type lockedRand = sim.Rand
 
 func newLockedRand(seed int64) *lockedRand { return sim.NewRand(seed) }
@@ -489,14 +425,9 @@ func (n *Network) newLink(from, to message.NodeID, opts LinkOptions) *link {
 	if opts.Reliable {
 		l.rel = newRelState(opts.Retransmit, opts.Seed^int64(hashNodes(to, from)))
 		l.lm = n.tel.Link(string(from), string(to))
-		if n.sched == nil {
-			n.wg.Add(1)
-			go l.retransmitLoop()
-		}
 	}
-	// In scheduled mode the link has no goroutines: queueLocked posts one
-	// delivery event per admitted frame and retransmit pacing re-arms
-	// itself on the loop.
+	// In scheduled mode the link has no goroutine: queueLocked posts one
+	// delivery event per admitted frame.
 	if n.sched == nil {
 		n.wg.Add(1)
 		go l.run()
@@ -530,24 +461,6 @@ func (l *link) enqueue(env message.Envelope, counted bool, epoch uint64) {
 	if l.admitLocked(env, counted, epoch) {
 		l.cond.Signal()
 	}
-}
-
-// enqueueBatch appends a run of envelopes as one atomic FIFO segment: the
-// lock is held across the whole batch, so concurrent senders cannot
-// interleave inside it. epoch stamps every frame (0 on best-effort links).
-func (l *link) enqueueBatch(envs []message.Envelope, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.stopped {
-		for _, env := range envs {
-			l.net.reg.MsgDone(env.Msg)
-		}
-		return
-	}
-	for _, env := range envs {
-		l.admitLocked(env, true, epoch)
-	}
-	l.cond.Signal()
 }
 
 // admitLocked runs the fault injector on one frame and appends the
@@ -633,19 +546,30 @@ func (l *link) queueLocked(env message.Envelope, counted bool, epoch uint64) {
 	}
 }
 
+// pop removes the frame at the head of the queue. With wait it blocks until
+// there is one; ok is false once the link has stopped or, without wait, when
+// the queue is empty.
+func (l *link) pop(wait bool) (te timedEnvelope, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for wait && len(l.queue) == 0 && !l.stopped {
+		l.cond.Wait()
+	}
+	if l.stopped || len(l.queue) == 0 {
+		return te, false
+	}
+	te = l.queue[0]
+	l.queue = l.queue[1:]
+	return te, true
+}
+
 // drainOne is the scheduled-mode counterpart of run(): deliver the frame at
 // the head of the queue. Events and admitted frames are 1:1; stop() empties
 // the queue, turning any still-scheduled events into no-ops.
 func (l *link) drainOne() {
-	l.mu.Lock()
-	if l.stopped || len(l.queue) == 0 {
-		l.mu.Unlock()
-		return
+	if te, ok := l.pop(false); ok {
+		l.net.deliver(l, te)
 	}
-	te := l.queue[0]
-	l.queue = l.queue[1:]
-	l.mu.Unlock()
-	l.net.deliver(l, te)
 }
 
 func (l *link) stop() {
@@ -668,20 +592,12 @@ func (l *link) stop() {
 func (l *link) run() {
 	defer l.net.wg.Done()
 	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 && !l.stopped {
-			l.cond.Wait()
-		}
-		if l.stopped {
-			l.mu.Unlock()
+		te, ok := l.pop(true)
+		if !ok {
 			return
 		}
-		te := l.queue[0]
-		l.queue = l.queue[1:]
-		l.mu.Unlock()
-
-		if d := time.Until(te.deliverAt); d > 0 {
-			time.Sleep(d)
+		if d := l.net.clk.Until(te.deliverAt); d > 0 {
+			l.net.clk.Sleep(d)
 		}
 		l.net.deliver(l, te)
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -434,4 +435,30 @@ func TestLamportMergeAdvancesPastRemote(t *testing.T) {
 			t.Errorf("merged stamp = %d, want 52", env.Lamport)
 		}
 	})
+}
+
+// TestConcurrentSendJitterRace is the -race regression test for the
+// per-link jitter source: concurrent senders draw from the same link RNG,
+// which must be safe regardless of which locks the senders hold.
+func TestConcurrentSendJitterRace(t *testing.T) {
+	net, c, _ := newPair(t, LinkOptions{Jitter: 50_000, Seed: 7, CountTraffic: true})
+	const senders = 8
+	const perSender = 100
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				if err := net.Send("a", "b", message.Publish{
+					ID: message.PubID(fmt.Sprintf("p%d-%d", g, i)),
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	awaitCount(t, c, senders*perSender)
 }

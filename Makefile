@@ -87,7 +87,7 @@ AUDIT_STREAM_COUNT ?= 7
 AUDIT_STREAM_TIME  ?= 20000x
 AUDIT_STREAM_OUT   ?= BENCH_audit.json
 
-.PHONY: all vet build test race ci bench bench-dispatch bench-reliability bench-wal bench-telemetry bench-audit-stream bench-match bench-replication bench-sim audit audit-stream chaos chaos-recovery chaos-coordinator sim loc
+.PHONY: all vet build test bench-test race ci bench bench-dispatch bench-reliability bench-wal bench-telemetry bench-audit-stream bench-match bench-replication bench-sim audit audit-stream chaos chaos-recovery chaos-coordinator sim loc
 
 all: ci
 
@@ -99,6 +99,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-test runs the benchmark harness's own tests (unit tests plus a
+# 200 ms smoke of every rig). bench/ is a module of its own, so the root
+# `go test ./...` cannot see it.
+bench-test:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -571,14 +571,19 @@ func (s *Stream) advance() {
 	wm := uint64(0)
 	first := true
 	for _, src := range s.sources {
-		if src.down {
+		// A source whose records have never carried a stamp — the journal's
+		// own run-config records, demultiplexed as site "journal" — says
+		// nothing about causal progress; counted, it would pin the merged
+		// watermark at 0 whenever it was ingested. One that has delivered
+		// nothing yet still holds the watermark: its backlog may be old.
+		if src.down || (src.records > 0 && src.watermark == 0) {
 			continue
 		}
 		if first || src.watermark < wm {
 			wm, first = src.watermark, false
 		}
 	}
-	if first { // all sources down: freeze
+	if first { // all sources down or unstamped: freeze
 		return
 	}
 	advanced := wm > s.watermark

@@ -437,7 +437,7 @@ func (b *Broker) process(env message.Envelope) {
 	case message.Unsubscribe:
 		b.handleUnsubscribe(m, env.From)
 	case message.Publish:
-		b.handlePublish(m, env.From)
+		b.handlePublish(env, m)
 	case message.MoveApprove:
 		b.handleMoveApprove(m, env.From)
 	case message.MoveAck:

@@ -87,7 +87,7 @@ func (b *Broker) dispatch(batch []inboxItem) {
 			b.tel.InboxWait.Observe(popped.Sub(it.at))
 		}
 		if plans != nil {
-			b.forwardPublish(env.Msg.(message.Publish), plans[i])
+			b.forwardPublish(env.Msg, plans[i])
 		} else {
 			b.process(env)
 		}
@@ -109,7 +109,7 @@ func (b *Broker) planAll(batch []inboxItem) [][]pubAction {
 	g := min(len(batch), runtime.GOMAXPROCS(0))
 	stride := func(k int) {
 		for i := k; i < len(batch); i += g {
-			plans[i] = b.planPublish(batch[i].env.Msg.(message.Publish), batch[i].env.From)
+			plans[i] = b.planPublish(batch[i].env.Msg.(message.Publish), batch[i].env.From, nil)
 		}
 	}
 	var wg sync.WaitGroup

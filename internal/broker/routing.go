@@ -386,29 +386,37 @@ type pubAction struct {
 	subClient message.ClientID
 }
 
-// planPublish matches a publication against the routing tables and returns
-// its outbound actions (forwards and local deliveries) without performing
-// them. It reads the tables through their lock-free match snapshots, so
-// dispatch may run it concurrently for a run of publications.
-func (b *Broker) planPublish(m message.Publish, from message.NodeID) []pubAction {
+// planPublish matches a publication against the routing tables and appends
+// its outbound actions (forwards and local deliveries) to actions without
+// performing them. It is pure — it reads the tables through their lock-free
+// match snapshots and writes only its own result — so dispatch may run it
+// concurrently for a run of publications. On the serial path it produces no
+// garbage: matches land in a stack buffer, the caller supplies the action
+// buffer, and destinations are de-duplicated by scanning the actions so
+// far, which are at most one per neighbor and local client.
+func (b *Broker) planPublish(m message.Publish, from message.NodeID, actions []pubAction) []pubAction {
 	t0 := b.clk.Now()
 	// A publication is valid only if some advertisement (from its
 	// publisher's flooded advertisement tree) matches it.
 	if !b.srt.MatchAny(m.Event) {
 		b.tel.MatchLatency.Observe(b.clk.Since(t0))
 		b.tel.DroppedPublications.Inc()
-		return nil
+		return actions
 	}
-	matched := b.prt.Match(m.Event)
+	var buf [16]*matching.Record
+	matched := b.prt.MatchInto(m.Event, buf[:0])
 	b.tel.MatchLatency.Observe(b.clk.Since(t0))
-	var actions []pubAction
-	seen := make(map[message.NodeID]bool)
+next:
 	for _, sub := range matched {
 		d := sub.LastHop
-		if d == from || seen[d] {
+		if d == from {
 			continue
 		}
-		seen[d] = true
+		for i := range actions {
+			if actions[i].dest == d {
+				continue next
+			}
+		}
 		switch {
 		case b.isNeighbor(d):
 			actions = append(actions, pubAction{dest: d})
@@ -423,18 +431,23 @@ func (b *Broker) planPublish(m message.Publish, from message.NodeID) []pubAction
 	return actions
 }
 
-func (b *Broker) handlePublish(m message.Publish, from message.NodeID) {
-	b.forwardPublish(m, b.planPublish(m, from))
+// handlePublish plans and forwards one publication. env.Msg holds m.
+func (b *Broker) handlePublish(env message.Envelope, m message.Publish) {
+	var buf [8]pubAction
+	b.forwardPublish(env.Msg, b.planPublish(m, env.From, buf[:0]))
 }
 
 // forwardPublish performs a publication's planned actions in order, on the
-// dispatching goroutine.
-func (b *Broker) forwardPublish(m message.Publish, actions []pubAction) {
+// dispatching goroutine. It takes the publication as the Message the
+// dispatcher already holds, so forwarding it to any number of neighbors
+// sends that one box and never allocates another.
+func (b *Broker) forwardPublish(msg message.Message, actions []pubAction) {
 	for _, a := range actions {
 		if a.deliver == nil {
-			b.send(a.dest, m)
+			b.send(a.dest, msg)
 			continue
 		}
+		m := msg.(message.Publish)
 		b.journalDeliver(m, a.subClient, a.dest)
 		a.deliver(m)
 	}

@@ -5,9 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"padres/internal/israce"
 	"padres/internal/message"
+	"padres/internal/metrics"
 	"padres/internal/overlay"
 	"padres/internal/predicate"
+	"padres/internal/transport"
 )
 
 func default14(t *testing.T) *overlay.Topology {
@@ -218,5 +221,44 @@ func TestQueueLenAndSnapshotAccessors(t *testing.T) {
 		if !b.HasClient(message.ClientNode("x", "b1")) {
 			t.Error("attached client not reported")
 		}
+	}
+}
+
+// TestPlanPublishAllocBudget pins the serial path's planning cost: a
+// publication that fans out to two neighbors and two local clients, each
+// through two matching subscriptions, is planned in at most 2 allocations
+// (none at the time of writing) — no match slice, no destination set, no
+// action slice. dispatch_allocs on the benchmark ledger moves with it.
+func TestPlanPublishAllocBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	net := transport.NewNetwork(metrics.NewRegistry())
+	defer net.Close()
+	br, err := New(Config{ID: "b1", Net: net, Neighbors: []message.BrokerID{"b2", "b3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	br.Start()
+	defer br.Stop()
+	f := predicate.MustParse("[x,>,0]")
+	from := message.ClientNode("pub", "b1")
+	br.srt.Insert("a1", "pub", f, from)
+	dests := []message.NodeID{"b2", "b3", message.ClientNode("c1", "b1"), message.ClientNode("c2", "b1")}
+	for i, d := range dests {
+		if !br.isNeighbor(d) {
+			br.AttachClient(d, func(message.Publish) {})
+		}
+		for _, dup := range []string{"x", "y"} {
+			br.prt.Insert(message.SubID(fmt.Sprintf("s%d%s", i, dup)), message.ClientID(fmt.Sprintf("c%d", i)), f, d)
+		}
+	}
+	m := message.Publish{ID: "p1", Client: "pub", Event: predicate.Event{"x": predicate.Number(7)}}
+	var buf [8]pubAction
+	if plan := br.planPublish(m, from, buf[:0]); len(plan) != len(dests) {
+		t.Fatalf("planned %d actions, want %d: %+v", len(plan), len(dests), plan)
+	}
+	if got := testing.AllocsPerRun(1000, func() { br.planPublish(m, from, buf[:0]) }); got > 2 {
+		t.Errorf("planPublish allocates %.1f times per publication, budget 2", got)
 	}
 }

@@ -269,6 +269,10 @@ func (j *Journal) Add(r Record) {
 	if j == nil {
 		return
 	}
+	// Seq is drawn under the ring lock: drawn before it, two appenders could
+	// take their slots in the opposite order and Snapshot would not be
+	// Seq-ordered.
+	j.mu.Lock()
 	r.Seq = j.seq.Add(1)
 	if r.Run == 0 {
 		r.Run = j.run.Load()
@@ -276,8 +280,6 @@ func (j *Journal) Add(r Record) {
 	if r.Wall.IsZero() {
 		r.Wall = j.now(r.Seq)
 	}
-
-	j.mu.Lock()
 	if j.size == len(j.ring) {
 		j.dropped++
 	} else {

@@ -81,12 +81,25 @@ func (e *Encoder) Encode(env Envelope) error {
 }
 
 // Decoder reads length-prefixed binary envelope frames from a stream,
-// reusing one read buffer across frames.
+// reusing one read buffer across frames. It interns the strings that repeat
+// from one publication to the next — the sender, the publishing client, the
+// transaction tag, attribute names and string attribute values — in a
+// bounded table of its own, so a steady-state Publish costs its PubID, its
+// event map and the Message box. The table is receiver-local: the frames
+// are the ones Unmarshal reads, and every decoded string is a copy, never a
+// view of the read buffer.
 type Decoder struct {
 	r   io.Reader
 	hdr [4]byte
 	buf []byte
+	in  wire.Interner
 }
+
+// decoderKeepBuf is the largest read buffer a Decoder keeps regardless of
+// what the stream carries next. A larger one — a movement-state frame may
+// reach maxFrame — is given back as soon as a frame needs less than a
+// quarter of it, instead of being held for the life of the connection.
+const decoderKeepBuf = 1 << 20
 
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
@@ -106,14 +119,14 @@ func (d *Decoder) Decode() (Envelope, error) {
 	if n > maxFrame {
 		return Envelope{}, fmt.Errorf("decode frame: length %d exceeds bound %d", n, maxFrame)
 	}
-	if cap(d.buf) < int(n) {
+	if c := cap(d.buf); c < int(n) || (c > decoderKeepBuf && int(n) < c/4) {
 		d.buf = make([]byte, n)
 	}
 	d.buf = d.buf[:n]
 	if _, err := io.ReadFull(d.r, d.buf); err != nil {
 		return Envelope{}, fmt.Errorf("decode frame body: %w", err)
 	}
-	env, rest, err := readPayload(d.buf)
+	env, rest, err := readPayload(d.buf, &d.in)
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -137,7 +150,7 @@ func Unmarshal(data []byte) (Envelope, error) {
 	if int(n) != len(data)-4 {
 		return Envelope{}, fmt.Errorf("unmarshal: frame length %d, have %d payload bytes", n, len(data)-4)
 	}
-	env, rest, err := readPayload(data[4:])
+	env, rest, err := readPayload(data[4:], nil)
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -170,8 +183,9 @@ func appendFrame(b []byte, env Envelope) ([]byte, error) {
 }
 
 // readPayload parses one frame payload (everything after the length
-// prefix), returning unconsumed bytes.
-func readPayload(b []byte) (Envelope, []byte, error) {
+// prefix), returning unconsumed bytes. in is the calling Decoder's intern
+// table, nil for the stateless Unmarshal.
+func readPayload(b []byte, in *wire.Interner) (Envelope, []byte, error) {
 	ver, b, err := wire.Byte(b)
 	if err != nil {
 		return Envelope{}, nil, err
@@ -180,7 +194,7 @@ func readPayload(b []byte) (Envelope, []byte, error) {
 		return Envelope{}, nil, fmt.Errorf("decode frame: unsupported codec version %d", ver)
 	}
 	var env Envelope
-	from, b, err := wire.String(b)
+	from, b, err := in.String(b)
 	if err != nil {
 		return Envelope{}, nil, err
 	}
@@ -195,7 +209,7 @@ func readPayload(b []byte) (Envelope, []byte, error) {
 	if env.Seq, b, err = wire.Uvarint(b); err != nil {
 		return Envelope{}, nil, err
 	}
-	if env.Msg, b, err = ReadMessage(b); err != nil {
+	if env.Msg, b, err = readMessage(b, in); err != nil {
 		return Envelope{}, nil, err
 	}
 	return env, b, nil
@@ -307,7 +321,11 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 }
 
 // ReadMessage consumes one message (kind byte + body).
-func ReadMessage(b []byte) (Message, []byte, error) {
+func ReadMessage(b []byte) (Message, []byte, error) { return readMessage(b, nil) }
+
+// readMessage is ReadMessage with a publication's repeating strings taken
+// through in (see Decoder).
+func readMessage(b []byte, in *wire.Interner) (Message, []byte, error) {
 	k, b, err := wire.Byte(b)
 	if err != nil {
 		return nil, nil, err
@@ -338,7 +356,7 @@ func ReadMessage(b []byte) (Message, []byte, error) {
 		}
 		return m, b, nil
 	case KindPublish:
-		return readPublishMsg(b)
+		return readPublishMsg(b, in)
 	case KindMoveNegotiate:
 		var m MoveNegotiate
 		if m.MoveHeader, b, err = readHeader(b); err != nil {
@@ -380,7 +398,7 @@ func ReadMessage(b []byte) (Message, []byte, error) {
 		if m.MoveHeader, b, err = readHeader(b); err != nil {
 			return nil, nil, err
 		}
-		n, rest, err := wire.Len(b)
+		n, rest, err := wire.Count(b, 4) // id, client, event, tag
 		if err != nil {
 			return nil, nil, err
 		}
@@ -389,7 +407,7 @@ func ReadMessage(b []byte) (Message, []byte, error) {
 			m.Buffered = make([]Publish, 0, n)
 			for i := 0; i < n; i++ {
 				var p Publish
-				if p, b, err = readPublish(b); err != nil {
+				if p, b, err = readPublish(b, in); err != nil {
 					return nil, nil, err
 				}
 				m.Buffered = append(m.Buffered, p)
@@ -570,21 +588,21 @@ func appendPublish(b []byte, p Publish) []byte {
 	return wire.AppendString(b, string(p.TxTag))
 }
 
-func readPublish(b []byte) (Publish, []byte, error) {
+func readPublish(b []byte, in *wire.Interner) (Publish, []byte, error) {
 	var p Publish
 	id, b, err := wire.String(b)
 	if err != nil {
 		return Publish{}, nil, err
 	}
-	client, b, err := wire.String(b)
+	client, b, err := in.String(b)
 	if err != nil {
 		return Publish{}, nil, err
 	}
 	p.ID, p.Client = PubID(id), ClientID(client)
-	if p.Event, b, err = predicate.ReadEvent(b); err != nil {
+	if p.Event, b, err = predicate.ReadEventInterned(b, in); err != nil {
 		return Publish{}, nil, err
 	}
-	tag, b, err := wire.String(b)
+	tag, b, err := in.String(b)
 	if err != nil {
 		return Publish{}, nil, err
 	}
@@ -592,8 +610,8 @@ func readPublish(b []byte) (Publish, []byte, error) {
 	return p, b, nil
 }
 
-func readPublishMsg(b []byte) (Message, []byte, error) {
-	p, b, err := readPublish(b)
+func readPublishMsg(b []byte, in *wire.Interner) (Message, []byte, error) {
+	p, b, err := readPublish(b, in)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -677,7 +695,7 @@ func appendSubEntries(b []byte, subs []SubEntry) []byte {
 }
 
 func readSubEntries(b []byte) ([]SubEntry, []byte, error) {
-	n, b, err := wire.Len(b)
+	n, b, err := wire.Count(b, 2) // id, filter presence
 	if err != nil {
 		return nil, nil, err
 	}
@@ -710,7 +728,7 @@ func appendAdvEntries(b []byte, advs []AdvEntry) []byte {
 }
 
 func readAdvEntries(b []byte) ([]AdvEntry, []byte, error) {
-	n, b, err := wire.Len(b)
+	n, b, err := wire.Count(b, 2) // id, filter presence
 	if err != nil {
 		return nil, nil, err
 	}

@@ -39,7 +39,10 @@ func AppendValue(b []byte, v Value) []byte {
 }
 
 // ReadValue consumes one value, returning the remainder of b.
-func ReadValue(b []byte) (Value, []byte, error) {
+func ReadValue(b []byte) (Value, []byte, error) { return readValue(b, nil) }
+
+// readValue is ReadValue with string payloads taken through in.
+func readValue(b []byte, in *wire.Interner) (Value, []byte, error) {
 	k, rest, err := wire.Byte(b)
 	if err != nil {
 		return Value{}, nil, err
@@ -48,7 +51,7 @@ func ReadValue(b []byte) (Value, []byte, error) {
 	case 0:
 		return Value{}, rest, nil
 	case KindString:
-		s, rest, err := wire.String(rest)
+		s, rest, err := in.String(rest)
 		if err != nil {
 			return Value{}, nil, err
 		}
@@ -101,7 +104,7 @@ func (f *Filter) AppendBinary(b []byte) []byte {
 // ReadFilter consumes one filter, validating and normalizing it exactly as
 // NewFilter would. An encoded empty filter is rejected.
 func ReadFilter(b []byte) (*Filter, []byte, error) {
-	n, rest, err := wire.Len(b)
+	n, rest, err := wire.Count(b, 3) // attr, op, value kind
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,10 +125,16 @@ func ReadFilter(b []byte) (*Filter, []byte, error) {
 }
 
 // AppendEvent appends the compact encoding of e, attributes in sorted
-// order so equal events encode byte-identically.
+// order so equal events encode byte-identically. The names of an event of
+// up to 8 attributes are sorted on the stack, so encoding one allocates
+// nothing beyond growth of b.
 func AppendEvent(b []byte, e Event) []byte {
 	b = wire.AppendUvarint(b, uint64(len(e)))
-	attrs := make([]string, 0, len(e))
+	var stack [8]string
+	attrs := stack[:0]
+	if len(e) > len(stack) {
+		attrs = make([]string, 0, len(e))
+	}
 	for a := range e {
 		attrs = append(attrs, a)
 	}
@@ -138,8 +147,13 @@ func AppendEvent(b []byte, e Event) []byte {
 }
 
 // ReadEvent consumes one event. A zero-attribute event decodes to nil.
-func ReadEvent(b []byte) (Event, []byte, error) {
-	n, rest, err := wire.Len(b)
+func ReadEvent(b []byte) (Event, []byte, error) { return ReadEventInterned(b, nil) }
+
+// ReadEventInterned is ReadEvent for a stream decoder: attribute names and
+// string values are taken through in (nil interns nothing), so the events
+// of one stream share them instead of each holding its own copies.
+func ReadEventInterned(b []byte, in *wire.Interner) (Event, []byte, error) {
+	n, rest, err := wire.Count(b, 2) // attr, value kind
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,12 +163,12 @@ func ReadEvent(b []byte) (Event, []byte, error) {
 	e := make(Event, n)
 	for i := 0; i < n; i++ {
 		var a string
-		a, rest, err = wire.String(rest)
+		a, rest, err = in.String(rest)
 		if err != nil {
 			return nil, nil, err
 		}
 		var v Value
-		v, rest, err = ReadValue(rest)
+		v, rest, err = readValue(rest, in)
 		if err != nil {
 			return nil, nil, err
 		}

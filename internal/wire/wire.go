@@ -40,8 +40,23 @@ func Uvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// Len consumes a varint length prefix, validating it against both the
-// sanity bound and the bytes actually remaining.
+// Count consumes the element count of a sequence whose elements each take
+// at least minBytes on the wire, rejecting a count the remaining input
+// cannot hold — so what a decoder pre-sizes from it is bounded by the bytes
+// actually received, not by what a hostile prefix claims.
+func Count(b []byte, minBytes int) (int, []byte, error) {
+	n, rest, err := Len(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > len(rest)/minBytes {
+		return 0, nil, ErrTruncated
+	}
+	return n, rest, nil
+}
+
+// Len consumes a varint length prefix, validating it against the sanity
+// bound; callers check it against the bytes remaining.
 func Len(b []byte) (int, []byte, error) {
 	v, rest, err := Uvarint(b)
 	if err != nil {
@@ -69,6 +84,56 @@ func String(b []byte) (string, []byte, error) {
 		return "", nil, ErrTruncated
 	}
 	return string(rest[:n]), rest[n:], nil
+}
+
+// Interner is a bounded table of the strings a stream decoder has already
+// produced, so fields that repeat frame after frame (node and client IDs,
+// attribute names, enumerated values) decode to the one string first seen
+// instead of a fresh copy each. It is receiver-local state: nothing about
+// it is on the wire. A nil *Interner interns nothing. Not safe for
+// concurrent use; a decoder owns one per stream.
+type Interner struct {
+	m map[string]string
+}
+
+// The table stops taking new strings at InternCap entries and never takes
+// one longer than internMaxLen, so a peer sending distinct strings can make
+// it hold at most InternCap × internMaxLen bytes; strings it does not hold
+// decode as plain copies.
+const (
+	InternCap    = 1024
+	internMaxLen = 64
+)
+
+// Len returns the number of strings held.
+func (in *Interner) Len() int { return len(in.m) }
+
+// String consumes a length-prefixed string like the package-level String
+// (kept separate so paths that never intern pay nothing for this one),
+// returning the interned copy when the table holds or can take it.
+func (in *Interner) String(b []byte) (string, []byte, error) {
+	n, rest, err := Len(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if len(rest) < n {
+		return "", nil, ErrTruncated
+	}
+	raw, rest := rest[:n], rest[n:]
+	if in == nil || n == 0 || n > internMaxLen {
+		return string(raw), rest, nil
+	}
+	if s, ok := in.m[string(raw)]; ok { // no copy: the compiler elides it for a lookup
+		return s, rest, nil
+	}
+	s := string(raw)
+	if len(in.m) < InternCap {
+		if in.m == nil {
+			in.m = make(map[string]string)
+		}
+		in.m[s] = s
+	}
+	return s, rest, nil
 }
 
 // AppendBytes appends a varint-length-prefixed byte slice.

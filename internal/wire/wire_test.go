@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -106,5 +108,49 @@ func TestLengthBound(t *testing.T) {
 	}
 	if _, _, err := Bytes(b); err == nil {
 		t.Fatal("oversized length prefix accepted")
+	}
+}
+
+// TestCountBoundedByInput: an element count is honoured only as far as the
+// bytes behind it could hold that many elements.
+func TestCountBoundedByInput(t *testing.T) {
+	b := append(AppendUvarint(nil, 3), make([]byte, 6)...)
+	if n, rest, err := Count(b, 2); err != nil || n != 3 || len(rest) != 6 {
+		t.Fatalf("Count(3 elements of 2 bytes over 6 bytes) = %d, %d left, %v", n, len(rest), err)
+	}
+	if _, _, err := Count(b, 3); err != ErrTruncated {
+		t.Fatalf("Count(3 elements of 3 bytes over 6 bytes) error = %v, want ErrTruncated", err)
+	}
+}
+
+// TestInternerSharesCopies: the second decode of a string returns the first
+// one's copy; neither aliases the input; empty and over-long strings, and a
+// nil Interner, decode as String does.
+func TestInternerSharesCopies(t *testing.T) {
+	long := strings.Repeat("x", internMaxLen+1)
+	b := AppendString(AppendString(AppendString(AppendString(AppendString(nil, "attr"), "attr"), ""), long), long)
+	var in Interner
+	var got [5]string
+	rest := b
+	for i := range got {
+		var err error
+		if got[i], rest, err = in.String(rest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range b {
+		b[i] = 0xAA
+	}
+	if want := [5]string{"attr", "attr", "", long, long}; got != want {
+		t.Fatalf("decoded %q after the input was overwritten, want %q", got, want)
+	}
+	if unsafe.StringData(got[0]) != unsafe.StringData(got[1]) {
+		t.Error("a repeated string was copied twice")
+	}
+	if unsafe.StringData(got[3]) == unsafe.StringData(got[4]) || in.Len() != 1 {
+		t.Errorf("a string over the length limit was interned (table holds %d)", in.Len())
+	}
+	if s, _, err := (*Interner)(nil).String(AppendString(nil, "attr")); err != nil || s != "attr" {
+		t.Errorf("nil Interner decoded %q, %v", s, err)
 	}
 }

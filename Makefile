@@ -87,7 +87,13 @@ AUDIT_STREAM_COUNT ?= 7
 AUDIT_STREAM_TIME  ?= 20000x
 AUDIT_STREAM_OUT   ?= BENCH_audit.json
 
-.PHONY: all vet build test bench-test race ci bench bench-dispatch bench-reliability bench-wal bench-telemetry bench-audit-stream bench-match bench-replication bench-sim audit audit-stream chaos chaos-recovery chaos-coordinator sim loc
+# Pair-run knobs: bench-pairs judges the working tree against PAIRS_BASE (any
+# git ref) on one workload of the benchmark, PAIRS_N alternating pairs.
+PAIRS_BASE     ?= HEAD
+PAIRS_WORKLOAD ?= overlay_pub
+PAIRS_N        ?= 10
+
+.PHONY: all vet build test bench-test bench-pairs race ci bench bench-dispatch bench-reliability bench-wal bench-telemetry bench-audit-stream bench-match bench-replication bench-sim audit audit-stream chaos chaos-recovery chaos-coordinator sim loc
 
 all: ci
 
@@ -105,6 +111,14 @@ test:
 # `go test ./...` cannot see it.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# bench-pairs is how a performance change is judged before it is proposed
+# (bench/README.md, "End-to-end metrics"): the driver's own command on the base
+# ref and on the working tree, alternating which side runs first, then both
+# medians, both interquartile ranges and the pairs won per end-to-end
+# metric. About 13 minutes per workload, so it is not part of ci.
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PAIRS_BASE) $(PAIRS_WORKLOAD) $(PAIRS_N)
 
 race:
 	$(GO) test -race ./...

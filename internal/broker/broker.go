@@ -39,6 +39,7 @@ import (
 	"padres/internal/matching"
 	"padres/internal/message"
 	"padres/internal/replication"
+	"padres/internal/ring"
 	"padres/internal/sim"
 	"padres/internal/store"
 	"padres/internal/telemetry"
@@ -126,8 +127,12 @@ type Broker struct {
 	srt *matching.SRT
 	prt *matching.PRT
 
-	mu        sync.Mutex
-	inbox     []inboxItem
+	mu    sync.Mutex
+	inbox ring.Queue[inboxItem]
+	// batch is the scratch, Workers items wide, that next() fills with the
+	// work of one dispatch. One batch is in flight per broker under either
+	// driver, so it is reused.
+	batch     []inboxItem
 	cond      *sync.Cond // signalled when the inbox gains a message or stops
 	spaceCond *sync.Cond // signalled when the bounded inbox frees a slot
 	stopped   bool
@@ -174,6 +179,7 @@ func New(cfg Config) (*Broker, error) {
 		sentAdvs:  make(map[message.AdvID]map[message.NodeID]bool),
 		reconfigs: make(map[message.TxID]*reconfigTx),
 		neighbors: make(map[message.BrokerID]bool, len(cfg.Neighbors)),
+		batch:     make([]inboxItem, max(1, cfg.Workers)),
 		outcomes:  make(map[message.TxID]string),
 		done:      make(chan struct{}),
 		clk:       cfg.Net.Clock(),
@@ -243,10 +249,9 @@ func (b *Broker) Stop() {
 		return
 	}
 	b.stopped = true
-	for _, it := range b.inbox {
-		b.cfg.Net.Done(it.env.Msg)
+	for b.inbox.Len() > 0 {
+		b.cfg.Net.Done(b.inbox.Pop().env.Msg)
 	}
-	b.inbox = nil
 	b.tel.QueueDepth.Set(0)
 	for _, t := range b.queryTimers {
 		t.Stop()
@@ -313,7 +318,7 @@ func (b *Broker) HasClient(n message.NodeID) bool {
 func (b *Broker) QueueLen() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.inbox)
+	return b.inbox.Len()
 }
 
 // Metrics returns the broker's lock-free runtime instruments, for
@@ -365,7 +370,7 @@ type Stats struct {
 // consistent-enough snapshot for operators and tests.
 func (b *Broker) Stats() Stats {
 	b.mu.Lock()
-	depth := len(b.inbox)
+	depth := b.inbox.Len()
 	b.mu.Unlock()
 	var jnlDropped uint64
 	if j := b.journal(); j != nil {
@@ -418,15 +423,16 @@ func (b *Broker) enqueue(env message.Envelope) {
 		b.cfg.Net.Done(env.Msg)
 		return
 	}
-	b.inbox = append(b.inbox, it)
-	depth := int64(len(b.inbox))
+	b.inbox.Push(it)
+	depth := int64(b.inbox.Len())
 	b.tel.QueueDepth.Set(depth)
 	b.tel.QueueHighWater.Observe(depth)
 	b.wakeLocked()
 }
 
-// process handles one message. It runs on the dispatching goroutine.
-func (b *Broker) process(env message.Envelope) {
+// process handles one message. It runs on the dispatching goroutine; t0 is
+// the clock read dispatch opened the message's timers on.
+func (b *Broker) process(env message.Envelope, t0 time.Time) {
 	switch m := env.Msg.(type) {
 	case message.Advertise:
 		b.handleAdvertise(m, env.From)
@@ -437,7 +443,7 @@ func (b *Broker) process(env message.Envelope) {
 	case message.Unsubscribe:
 		b.handleUnsubscribe(m, env.From)
 	case message.Publish:
-		b.handlePublish(env, m)
+		b.handlePublish(env, m, t0)
 	case message.MoveApprove:
 		b.handleMoveApprove(m, env.From)
 	case message.MoveAck:

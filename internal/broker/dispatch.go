@@ -19,18 +19,21 @@ import (
 
 // next pops the work of one dispatch: the inbox head, or — at Workers > 1 —
 // the run of up to Workers consecutive publications starting there. The
-// result aliases the inbox's backing array, which enqueue only ever appends
-// past. Caller holds b.mu and has checked the inbox is non-empty.
+// items are copied into the broker's scratch batch, not aliased: a ring
+// slot is overwritten by a later enqueue once it has been popped. Caller
+// holds b.mu and has checked the inbox is non-empty.
 func (b *Broker) next() []inboxItem {
 	n := 1
-	if w := b.cfg.Workers; w > 1 && b.inbox[0].env.Msg.Kind() == message.KindPublish {
-		for n < w && n < len(b.inbox) && b.inbox[n].env.Msg.Kind() == message.KindPublish {
+	if w := b.cfg.Workers; w > 1 && b.inbox.At(0).env.Msg.Kind() == message.KindPublish {
+		for n < w && n < b.inbox.Len() && b.inbox.At(n).env.Msg.Kind() == message.KindPublish {
 			n++
 		}
 	}
-	batch := b.inbox[:n:n]
-	b.inbox = b.inbox[n:]
-	b.tel.QueueDepth.Set(int64(len(b.inbox)))
+	batch := b.batch[:n]
+	for i := range batch {
+		batch[i] = b.inbox.Pop()
+	}
+	b.tel.QueueDepth.Set(int64(b.inbox.Len()))
 	if n == 1 {
 		b.spaceCond.Signal()
 	} else {
@@ -89,7 +92,7 @@ func (b *Broker) dispatch(batch []inboxItem) {
 		if plans != nil {
 			b.forwardPublish(env.Msg, plans[i])
 		} else {
-			b.process(env)
+			b.process(env, t0)
 		}
 		b.tel.DispatchLatency.Observe(b.clk.Since(t0))
 		b.tel.Processed.Inc()
@@ -97,6 +100,9 @@ func (b *Broker) dispatch(batch []inboxItem) {
 		b.tel.PRTSize.Set(int64(b.prt.Len()))
 		b.cfg.Net.Done(env.Msg)
 	}
+	// The scratch batch outlives the dispatch; do not let it pin the
+	// messages it carried.
+	clear(batch)
 }
 
 // planAll matches a run of publications concurrently — the one parallel
@@ -109,7 +115,7 @@ func (b *Broker) planAll(batch []inboxItem) [][]pubAction {
 	g := min(len(batch), runtime.GOMAXPROCS(0))
 	stride := func(k int) {
 		for i := k; i < len(batch); i += g {
-			plans[i] = b.planPublish(batch[i].env.Msg.(message.Publish), batch[i].env.From, nil)
+			plans[i] = b.planPublish(batch[i].env.Msg.(message.Publish), batch[i].env.From, nil, b.clk.Now())
 		}
 	}
 	var wg sync.WaitGroup

@@ -26,9 +26,9 @@ func (b *Broker) waitDriver() {
 // awaitSpaceLocked parks a producer while the bounded inbox is full. Caller
 // holds b.mu.
 func (b *Broker) awaitSpaceLocked() {
-	if cap := b.cfg.InboxCapacity; b.sched == nil && cap > 0 && len(b.inbox) >= cap && !b.stopped {
+	if cap := b.cfg.InboxCapacity; b.sched == nil && cap > 0 && b.inbox.Len() >= cap && !b.stopped {
 		b.tel.BackpressureWaits.Inc()
-		for len(b.inbox) >= cap && !b.stopped {
+		for b.inbox.Len() >= cap && !b.stopped {
 			b.spaceCond.Wait()
 		}
 	}
@@ -56,7 +56,7 @@ func (b *Broker) wakeLocked() {
 		b.cond.Signal()
 		return
 	}
-	if !b.armed && !b.paused && !b.stopped && len(b.inbox) > 0 {
+	if !b.armed && !b.paused && !b.stopped && b.inbox.Len() > 0 {
 		b.armed = true
 		b.sched.Post(b.step)
 	}
@@ -67,7 +67,7 @@ func (b *Broker) run() {
 	defer close(b.done)
 	for {
 		b.mu.Lock()
-		for (len(b.inbox) == 0 || b.paused) && !b.stopped {
+		for (b.inbox.Len() == 0 || b.paused) && !b.stopped {
 			b.cond.Wait()
 		}
 		if b.stopped {
@@ -91,7 +91,7 @@ func (b *Broker) run() {
 // remains.
 func (b *Broker) step() {
 	b.mu.Lock()
-	if b.stopped || b.paused || len(b.inbox) == 0 {
+	if b.stopped || b.paused || b.inbox.Len() == 0 {
 		b.armed = false
 		b.mu.Unlock()
 		return

@@ -3,6 +3,7 @@ package broker
 import (
 	"sort"
 	"strings"
+	"time"
 
 	"padres/internal/journal"
 	"padres/internal/matching"
@@ -393,9 +394,11 @@ type pubAction struct {
 // concurrently for a run of publications. On the serial path it produces no
 // garbage: matches land in a stack buffer, the caller supplies the action
 // buffer, and destinations are de-duplicated by scanning the actions so
-// far, which are at most one per neighbor and local client.
-func (b *Broker) planPublish(m message.Publish, from message.NodeID, actions []pubAction) []pubAction {
-	t0 := b.clk.Now()
+// far, which are at most one per neighbor and local client. t0 is the clock
+// read the match stage opens on: dispatch's own on the serial path, so a
+// publication costs one read for both timers, and a fresh one per
+// publication under planAll.
+func (b *Broker) planPublish(m message.Publish, from message.NodeID, actions []pubAction, t0 time.Time) []pubAction {
 	// A publication is valid only if some advertisement (from its
 	// publisher's flooded advertisement tree) matches it.
 	if !b.srt.MatchAny(m.Event) {
@@ -432,9 +435,9 @@ next:
 }
 
 // handlePublish plans and forwards one publication. env.Msg holds m.
-func (b *Broker) handlePublish(env message.Envelope, m message.Publish) {
+func (b *Broker) handlePublish(env message.Envelope, m message.Publish, t0 time.Time) {
 	var buf [8]pubAction
-	b.forwardPublish(env.Msg, b.planPublish(m, env.From, buf[:0]))
+	b.forwardPublish(env.Msg, b.planPublish(m, env.From, buf[:0], t0))
 }
 
 // forwardPublish performs a publication's planned actions in order, on the

@@ -255,10 +255,10 @@ func TestPlanPublishAllocBudget(t *testing.T) {
 	}
 	m := message.Publish{ID: "p1", Client: "pub", Event: predicate.Event{"x": predicate.Number(7)}}
 	var buf [8]pubAction
-	if plan := br.planPublish(m, from, buf[:0]); len(plan) != len(dests) {
+	if plan := br.planPublish(m, from, buf[:0], br.clk.Now()); len(plan) != len(dests) {
 		t.Fatalf("planned %d actions, want %d: %+v", len(plan), len(dests), plan)
 	}
-	if got := testing.AllocsPerRun(1000, func() { br.planPublish(m, from, buf[:0]) }); got > 2 {
+	if got := testing.AllocsPerRun(1000, func() { br.planPublish(m, from, buf[:0], br.clk.Now()) }); got > 2 {
 		t.Errorf("planPublish allocates %.1f times per publication, budget 2", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"padres/internal/message"
 	"padres/internal/predicate"
+	"padres/internal/ring"
 	"padres/internal/sim"
 )
 
@@ -140,9 +141,9 @@ type Client struct {
 	subs     map[message.SubID]*predicate.Filter
 	advs     map[message.AdvID]*predicate.Filter
 	seen     map[message.PubID]bool
-	queue    []message.Publish // app-facing notification queue
-	transfer []message.Publish // notifications buffered during a move
-	pending  []message.Message // commands queued while not started
+	queue    ring.Queue[message.Publish] // app-facing notification queue
+	transfer []message.Publish           // notifications buffered during a move
+	pending  []message.Message           // commands queued while not started
 	closed   bool
 }
 
@@ -268,7 +269,7 @@ func (c *Client) enqueueLocked(pub message.Publish) {
 		return
 	}
 	c.seen[pub.ID] = true
-	c.queue = append(c.queue, pub)
+	c.queue.Push(pub)
 	if c.delivObs != nil {
 		c.delivObs(c.id, pub.ID, DeliveryQueued)
 	}
@@ -277,15 +278,21 @@ func (c *Client) enqueueLocked(pub message.Publish) {
 
 // Receive blocks until a notification is available or the context is done.
 func (c *Client) Receive(ctx context.Context) (message.Publish, error) {
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.queue) == 0 {
+	// The context hook wakes a waiter on cancellation; a call that finds a
+	// notification queued, or the context already done, never waits and so
+	// never arms it. The hook takes c.mu, so it cannot broadcast before
+	// Wait has released the lock: a cancellation while arming is not lost.
+	if c.queue.Len() == 0 && !c.closed && ctx.Err() == nil {
+		stop := context.AfterFunc(ctx, func() {
+			c.mu.Lock()
+			c.cond.Broadcast()
+			c.mu.Unlock()
+		})
+		defer stop()
+	}
+	for c.queue.Len() == 0 {
 		if c.closed {
 			return message.Publish{}, ErrClosed
 		}
@@ -294,28 +301,24 @@ func (c *Client) Receive(ctx context.Context) (message.Publish, error) {
 		}
 		c.cond.Wait()
 	}
-	pub := c.queue[0]
-	c.queue = c.queue[1:]
-	return pub, nil
+	return c.queue.Pop(), nil
 }
 
 // TryReceive returns a queued notification if one is available.
 func (c *Client) TryReceive() (message.Publish, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.queue) == 0 {
+	if c.queue.Len() == 0 {
 		return message.Publish{}, false
 	}
-	pub := c.queue[0]
-	c.queue = c.queue[1:]
-	return pub, true
+	return c.queue.Pop(), true
 }
 
 // QueueLen returns the number of notifications waiting for the application.
 func (c *Client) QueueLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.queue)
+	return c.queue.Len()
 }
 
 // ReceivedIDs returns the set of publication IDs delivered to the

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -177,6 +178,37 @@ func TestReceiveBlocking(t *testing.T) {
 	got, err := c.Receive(ctx2)
 	if err != nil || got.ID != "p1" {
 		t.Fatalf("Receive = %v, %v", got, err)
+	}
+}
+
+// TestReceiveFastPath: a Receive that does not have to wait — a notification
+// is queued, or the context is already done — arms no context hook, so it
+// allocates nothing.
+func TestReceiveFastPath(t *testing.T) {
+	c, _ := startedClient(t)
+	const runs = 100
+	for i := 0; i <= runs; i++ { // AllocsPerRun makes one warm-up call
+		c.DeliverLocal(message.Publish{ID: message.PubID("p" + strconv.Itoa(i))})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if got := testing.AllocsPerRun(runs, func() {
+		if _, err := c.Receive(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Receive on a non-empty queue allocates %.0f times, want 0", got)
+	}
+	if n := c.QueueLen(); n != 0 {
+		t.Fatalf("%d notifications left queued", n)
+	}
+	cancel()
+	if got := testing.AllocsPerRun(runs, func() {
+		if _, err := c.Receive(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Receive on a cancelled context = %v", err)
+		}
+	}); got != 0 {
+		t.Errorf("Receive on a cancelled context allocates %.0f times, want 0", got)
 	}
 }
 

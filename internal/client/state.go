@@ -65,10 +65,10 @@ func (c *Client) Serialize() ([]byte, error) {
 		b = wire.AppendString(b, id)
 	}
 
-	b = wire.AppendUvarint(b, uint64(len(c.queue)))
-	for _, p := range c.queue {
+	b = wire.AppendUvarint(b, uint64(c.queue.Len()))
+	for i := range c.queue.Len() {
 		var err error
-		if b, err = message.AppendMessage(b, p); err != nil {
+		if b, err = message.AppendMessage(b, *c.queue.At(i)); err != nil {
 			return nil, fmt.Errorf("serialize client %s: queued publication: %w", c.id, err)
 		}
 	}
@@ -153,7 +153,7 @@ func Deserialize(data []byte) (*Client, error) {
 		if !ok {
 			return nil, fmt.Errorf("deserialize client state: queue %d: unexpected %s", i, m.Kind())
 		}
-		c.queue = append(c.queue, p)
+		c.queue.Push(p)
 	}
 
 	if n, b, err = wire.Len(b); err != nil {

@@ -21,6 +21,7 @@ import (
 	"padres/internal/journal"
 	"padres/internal/message"
 	"padres/internal/metrics"
+	"padres/internal/ring"
 	"padres/internal/sim"
 	"padres/internal/telemetry"
 )
@@ -388,9 +389,11 @@ type link struct {
 	// breaker state, resend depth); nil on best-effort links.
 	lm *telemetry.LinkMetrics
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []timedEnvelope
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue ring.Queue[timedEnvelope]
+	// lastAt is the latest delivery time stamped on a frame; it stays zero
+	// while no frame has carried one.
 	lastAt      time.Time
 	stopped     bool
 	faults      FaultProfile
@@ -399,7 +402,8 @@ type link struct {
 }
 
 type timedEnvelope struct {
-	env       message.Envelope
+	env message.Envelope
+	// deliverAt is zero for a frame that is due the moment it is queued.
 	deliverAt time.Time
 	// counted marks frames carrying an in-flight registry token;
 	// transport-internal acks travel uncounted.
@@ -491,9 +495,9 @@ func (l *link) admitLocked(env message.Envelope, counted bool, epoch uint64) boo
 			l.queueLocked(env, counted, epoch)
 			l.net.tel.InjectedDups.Inc()
 		}
-		if f.Reorder > 0 && len(l.queue) >= 2 && l.faultRng.Float64() < f.Reorder {
-			n := len(l.queue)
-			l.queue[n-2], l.queue[n-1] = l.queue[n-1], l.queue[n-2]
+		if n := l.queue.Len(); f.Reorder > 0 && n >= 2 && l.faultRng.Float64() < f.Reorder {
+			a, b := l.queue.At(n-2), l.queue.At(n-1)
+			*a, *b = *b, *a
 			l.net.tel.InjectedReorders.Inc()
 		}
 		return true
@@ -531,18 +535,28 @@ func (l *link) queueLocked(env message.Envelope, counted bool, epoch uint64) {
 	if l.opts.Jitter > 0 {
 		delay += time.Duration(l.rng.Int63n(int64(l.opts.Jitter)))
 	}
-	at := l.net.clk.Now().Add(delay)
-	// FIFO: never deliver before an earlier message on the same link.
-	if at.Before(l.lastAt) {
-		at = l.lastAt
+	// A frame with no delay, on a link where no earlier frame carries a
+	// delivery time it could overtake, is due now: it needs no timestamp
+	// and so no clock read.
+	var at time.Time
+	if delay > 0 || !l.lastAt.IsZero() {
+		at = l.net.clk.Now().Add(delay)
+		// FIFO: never deliver before an earlier message on the same link.
+		if at.Before(l.lastAt) {
+			at = l.lastAt
+		}
+		l.lastAt = at
 	}
-	l.lastAt = at
-	l.queue = append(l.queue, timedEnvelope{env: env, deliverAt: at, counted: counted, epoch: epoch})
+	l.queue.Push(timedEnvelope{env: env, deliverAt: at, counted: counted, epoch: epoch})
 	if l.net.sched != nil {
 		// One loop event per admitted frame; each pops the queue head, so a
 		// reorder fault's queue swap manifests exactly as it would under the
 		// drain goroutine.
-		l.net.sched.AfterFunc(l.net.clk.Until(at), l.drainOne)
+		var wait time.Duration
+		if !at.IsZero() {
+			wait = l.net.clk.Until(at)
+		}
+		l.net.sched.AfterFunc(wait, l.drainOne)
 	}
 }
 
@@ -552,15 +566,13 @@ func (l *link) queueLocked(env message.Envelope, counted bool, epoch uint64) {
 func (l *link) pop(wait bool) (te timedEnvelope, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for wait && len(l.queue) == 0 && !l.stopped {
+	for wait && l.queue.Len() == 0 && !l.stopped {
 		l.cond.Wait()
 	}
-	if l.stopped || len(l.queue) == 0 {
+	if l.stopped || l.queue.Len() == 0 {
 		return te, false
 	}
-	te = l.queue[0]
-	l.queue = l.queue[1:]
-	return te, true
+	return l.queue.Pop(), true
 }
 
 // drainOne is the scheduled-mode counterpart of run(): deliver the frame at
@@ -576,12 +588,11 @@ func (l *link) stop() {
 	l.mu.Lock()
 	l.stopped = true
 	// Release accounting for anything still queued.
-	for _, te := range l.queue {
-		if te.counted {
+	for l.queue.Len() > 0 {
+		if te := l.queue.Pop(); te.counted {
 			l.net.reg.MsgDone(te.env.Msg)
 		}
 	}
-	l.queue = nil
 	l.cond.Signal()
 	l.mu.Unlock()
 	if l.rel != nil {
@@ -596,8 +607,10 @@ func (l *link) run() {
 		if !ok {
 			return
 		}
-		if d := l.net.clk.Until(te.deliverAt); d > 0 {
-			l.net.clk.Sleep(d)
+		if !te.deliverAt.IsZero() {
+			if d := l.net.clk.Until(te.deliverAt); d > 0 {
+				l.net.clk.Sleep(d)
+			}
 		}
 		l.net.deliver(l, te)
 	}

@@ -146,6 +146,13 @@ type Broker struct {
 	neighbors map[message.BrokerID]bool
 	done      chan struct{}
 
+	// wakes holds the receiver wake-ups DeferWake is holding back, held
+	// counts the dispatches since the first of them, and spare is the list
+	// the dispatch goroutine issued last, kept for reuse (driver.go). All
+	// three are guarded by mu.
+	wakes, spare []func()
+	held         int
+
 	// Durable state (nil / empty without Config.DataDir).
 	store    *store.Store
 	storeTel *telemetry.StoreMetrics
@@ -355,6 +362,7 @@ type Stats struct {
 	DroppedPublications int64
 	SRTSize             int
 	PRTSize             int
+	PRTIndexBuilds      int // full builds of the PRT match index; table writes must not drive it one for one
 	SendsByKind         map[message.Kind]int64
 	TotalSends          int64
 	// JournalDropped counts flight-recorder records this broker's network
@@ -385,6 +393,7 @@ func (b *Broker) Stats() Stats {
 		DroppedPublications: b.tel.DroppedPublications.Value(),
 		SRTSize:             b.srt.Len(),
 		PRTSize:             b.prt.Len(),
+		PRTIndexBuilds:      b.prt.IndexBuilds(),
 		SendsByKind:         b.tel.SendsByKind(),
 		TotalSends:          b.tel.TotalSends(),
 		JournalDropped:      jnlDropped,

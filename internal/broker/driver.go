@@ -1,5 +1,7 @@
 package broker
 
+import "padres/internal/message"
+
 // The two drivers of the dispatch core. Both run next → cost → dispatch per
 // step; they differ only in how they wait. The goroutine driver blocks — on
 // the inbox condition variable, in clk.Sleep, and (producers) on a full
@@ -62,11 +64,21 @@ func (b *Broker) wakeLocked() {
 	}
 }
 
+// maxHeld bounds the dispatches for which the goroutine driver holds a
+// receiver's wake-up back while its inbox never runs empty. A notification
+// that found the inbox that long has already queued behind as many messages.
+const maxHeld = 16
+
 // run is the goroutine driver.
 func (b *Broker) run() {
 	defer close(b.done)
 	for {
 		b.mu.Lock()
+		if len(b.wakes) > 0 { // held back by DeferWake until the work runs out
+			if b.held++; b.inbox.Len() == 0 || b.paused || b.stopped || b.held > maxHeld {
+				b.issueWakesLocked()
+			}
+		}
 		for (b.inbox.Len() == 0 || b.paused) && !b.stopped {
 			b.cond.Wait()
 		}
@@ -84,6 +96,50 @@ func (b *Broker) run() {
 		}
 		b.dispatch(batch)
 	}
+}
+
+// issueWakesLocked issues the wake-ups DeferWake held back. Caller holds
+// b.mu, which is released around them, and must look at the inbox again.
+func (b *Broker) issueWakesLocked() {
+	wakes := b.wakes
+	b.wakes, b.held = b.spare[:0], 0
+	b.mu.Unlock()
+	for i, wake := range wakes {
+		wake()
+		wakes[i] = nil
+	}
+	b.mu.Lock()
+	b.spare = wakes
+}
+
+// DeferWake issues the wake-up of a local client's blocked receiver, which
+// the client would otherwise issue from inside its delivery callback — at
+// once, unless the dispatch goroutine has something other than a publication
+// to handle next: then when its inbox has run empty, or maxHeld dispatches
+// on. The Go scheduler keeps only the latest wake-up in the slot that runs
+// next and moves the one it held to the back of the run queue; a receiver
+// woken ahead of a routing or control message was therefore displaced by
+// that message's forward, and on a busy processor waited there while the
+// movement protocol's messages, each waking the goroutine that carries it
+// on, handed the slot from one to the next — for a whole publication
+// interval on move_storm. A receiver only takes its notifications and blocks
+// again, so waking it last delays nobody. Ahead of a publication, or of
+// nothing, the wake-up is not displaced and is issued as it always was: a
+// run of publications lets its receivers batch. Nothing is held back under
+// the event driver (there is no goroutine to wake), with a simulated service
+// delay (every dispatch is a wait), or on a paused or stopped broker. wake
+// runs on the dispatch goroutine or the caller's, and must not block.
+func (b *Broker) DeferWake(wake func()) {
+	b.mu.Lock()
+	if b.inbox.Len() > 0 && b.sched == nil && b.cfg.ServiceTime == 0 && !b.paused && !b.stopped {
+		if _, pub := b.inbox.At(0).env.Msg.(message.Publish); !pub {
+			b.wakes = append(b.wakes, wake)
+			b.mu.Unlock()
+			return
+		}
+	}
+	b.mu.Unlock()
+	wake()
 }
 
 // step is the event driver: the broker's one armed wake-up. It pops, spends

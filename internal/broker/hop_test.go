@@ -35,6 +35,7 @@ func TestHopAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.brokers["b2"].AttachClient(sub.Node(), sub.DeliverLocal)
+	sub.SetWakeVia(tn.brokers["b2"].DeferWake) // as a container wires it
 	tn.send("pub", "b1", message.Advertise{ID: "a1", Client: "pub", Filter: predicate.MustParse("[x,>,0]")})
 	tn.settle()
 	tn.send("sub", "b2", message.Subscribe{ID: "s1", Client: "sub", Filter: predicate.MustParse("[x,>,10]")})

@@ -138,6 +138,10 @@ type Client struct {
 	node     message.NodeID
 	mover    Mover
 	send     Sender
+	wakeVia  func(wake func()) // nil: DeliverLocal wakes a blocked Receive itself
+	wake     func()            // cond.Broadcast, bound once
+	waiting  int               // Receive calls blocked in cond.Wait
+	wakeOwed bool              // wakeVia holds a wake-up no receiver has woken to yet
 	subs     map[message.SubID]*predicate.Filter
 	advs     map[message.AdvID]*predicate.Filter
 	seen     map[message.PubID]bool
@@ -160,6 +164,7 @@ func New(id message.ClientID) *Client {
 		seen:  make(map[message.PubID]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.wake = c.cond.Broadcast
 	return c
 }
 
@@ -273,7 +278,27 @@ func (c *Client) enqueueLocked(pub message.Publish) {
 	if c.delivObs != nil {
 		c.delivObs(c.id, pub.ID, DeliveryQueued)
 	}
-	c.cond.Broadcast()
+	switch {
+	case c.wakeVia == nil:
+		c.cond.Broadcast()
+	case c.waiting > 0 && !c.wakeOwed:
+		// One owed wake-up covers every notification queued until a
+		// receiver wakes; with none blocked there is nobody to wake.
+		c.wakeOwed = true
+		c.wakeVia(c.wake)
+	}
+}
+
+// SetWakeVia hands the wake-up a queued notification owes a blocked Receive
+// to via instead of issuing it on the spot. The hosting container passes the
+// broker's DeferWake, which issues it when the dispatcher that is delivering
+// has run out of work. via is called with the client's lock held and must
+// run wake eventually, from any goroutine; wake neither blocks nor takes a
+// lock.
+func (c *Client) SetWakeVia(via func(wake func())) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.wakeVia = via
 }
 
 // Receive blocks until a notification is available or the context is done.
@@ -299,7 +324,10 @@ func (c *Client) Receive(ctx context.Context) (message.Publish, error) {
 		if ctx.Err() != nil {
 			return message.Publish{}, ctx.Err()
 		}
+		c.waiting++
 		c.cond.Wait()
+		c.waiting--
+		c.wakeOwed = false
 	}
 	return c.queue.Pop(), nil
 }

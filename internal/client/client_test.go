@@ -212,6 +212,73 @@ func TestReceiveFastPath(t *testing.T) {
 	}
 }
 
+// TestWakeVia: with a wake-up route set, a delivery hands the route one
+// wake-up per blocked receiver — none when nobody is blocked, one however
+// many notifications queue before the receiver wakes — and the receiver
+// sleeps until the route issues it.
+func TestWakeVia(t *testing.T) {
+	c, _ := startedClient(t)
+	var mu sync.Mutex
+	var held []func()
+	c.SetWakeVia(func(wake func()) {
+		mu.Lock()
+		held = append(held, wake)
+		mu.Unlock()
+	})
+	heldNow := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(held)
+	}
+
+	c.DeliverLocal(message.Publish{ID: "p0"})
+	if n := heldNow(); n != 0 {
+		t.Fatalf("a delivery with no receiver blocked routed %d wake-ups", n)
+	}
+	if got, ok := c.TryReceive(); !ok || got.ID != "p0" {
+		t.Fatalf("TryReceive = %v, %t", got, ok)
+	}
+
+	got := make(chan message.PubID, 3)
+	go func() {
+		for i := 0; i < 3; i++ {
+			p, err := c.Receive(context.Background())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got <- p.ID
+		}
+	}()
+	for blocked := 0; blocked == 0; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		blocked = c.waiting
+		c.mu.Unlock()
+	}
+	c.DeliverLocal(message.Publish{ID: "p1"})
+	c.DeliverLocal(message.Publish{ID: "p2"})
+	c.DeliverLocal(message.Publish{ID: "p3"})
+	if n := heldNow(); n != 1 {
+		t.Fatalf("3 deliveries to one blocked receiver routed %d wake-ups, want 1", n)
+	}
+	select {
+	case id := <-got:
+		t.Fatalf("receiver woke with %s before its wake-up was issued", id)
+	case <-time.After(20 * time.Millisecond):
+	}
+	held[0]()
+	for _, want := range []message.PubID{"p1", "p2", "p3"} {
+		select {
+		case id := <-got:
+			if id != want {
+				t.Errorf("received %s, want %s", id, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("receiver never got %s after its wake-up was issued", want)
+		}
+	}
+}
+
 func TestMoveStates(t *testing.T) {
 	c, rec := startedClient(t)
 	if err := c.BeginMove(); err != nil {

@@ -298,6 +298,7 @@ func (ct *Container) NewClient(id message.ClientID) (*client.Client, error) {
 	}
 	c.SetMover(ct)
 	c.SetSender(ct.cfg.Broker.Inject)
+	c.SetWakeVia(ct.cfg.Broker.DeferWake)
 	ct.installStateObserver(c)
 	ct.installDeliveryObserver(c)
 	ct.cfg.Directory.Put(c)

@@ -273,6 +273,7 @@ func (ct *Container) attachCommit(m message.MoveState, ttx *targetTx, c *client.
 	ct.mu.Unlock()
 	c.SetMover(ct)
 	c.SetSender(ct.cfg.Broker.Inject)
+	c.SetWakeVia(ct.cfg.Broker.DeferWake)
 	ct.installStateObserver(c)
 	ct.installDeliveryObserver(c)
 	_ = c.CompleteMove(ct.cfg.Broker.ID(), m.Buffered, shell)

@@ -11,7 +11,7 @@ import (
 // benchPRT builds a table of n window subscriptions [x,>,i],[x,<,i+16] so a
 // point event matches a small fraction of them, as in the paper's workload
 // blocks.
-func benchPRT(b *testing.B, n int) *PRT {
+func benchPRT(b testing.TB, n int) *PRT {
 	b.Helper()
 	prt := NewPRT()
 	for i := 0; i < n; i++ {

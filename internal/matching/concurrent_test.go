@@ -12,17 +12,27 @@ import (
 // TestConcurrentMatchAndMutate hammers a PRT with parallel matchers while a
 // writer churns records, the access pattern of the broker's parallel
 // dispatch workers. Run under -race it is the regression test for the
-// snapshot-indexed matching path; functionally it checks that a record
-// never touched by the writer is found by every matcher.
+// base + delta matching path; functionally it checks that a record the
+// writer never touches is found by every matcher, whether it sits in the
+// base ("stable") or has been in the delta since before the matchers
+// started ("late"). The writer holds up to 8 adds and 8 dead base slots
+// open at a time and takes them back out, and every so often writes a burst
+// long enough to cross the delta's limit, so matchers run lock-free, under
+// a delta, across folds and across a base dropped by a write — where
+// several of them find no index at once and one must build it for all.
 func TestConcurrentMatchAndMutate(t *testing.T) {
 	prt := NewPRT()
 	prt.Insert("stable", "cs", predicate.MustParse("[x,>,0]"), "hop1")
-	for i := 0; i < 64; i++ {
-		prt.Insert(message.SubID(fmt.Sprintf("s%d", i)), "cs",
-			predicate.MustParse(fmt.Sprintf("[x,>,%d],[x,<,%d]", 1000+10*i, 1010+10*i)), "hop1")
+	window := func(i int) *predicate.Filter {
+		return predicate.MustParse(fmt.Sprintf("[x,>,%d],[x,<,%d]", 1000+10*i, 1010+10*i))
 	}
-
+	for i := 0; i < 64; i++ {
+		prt.Insert(message.SubID(fmt.Sprintf("s%d", i)), "cs", window(i), "hop1")
+	}
 	ev := predicate.Event{"x": predicate.Number(42)}
+	prt.Match(ev) // build the base, so "late" starts life in the delta
+	prt.Insert("late", "cs", predicate.MustParse("[x,<,100]"), "hop1")
+
 	stop := make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
@@ -34,9 +44,24 @@ func TestConcurrentMatchAndMutate(t *testing.T) {
 				return
 			default:
 			}
-			id := message.SubID(fmt.Sprintf("churn%d", i%8))
-			prt.Insert(id, "cw", churn, "hop2")
-			prt.Remove(id)
+			if i%256 == 255 {
+				for b := 0; b < 70; b++ {
+					prt.Insert(message.SubID(fmt.Sprintf("burst%d", b)), "cw", churn, "hop2")
+				}
+				for b := 0; b < 70; b++ {
+					prt.Remove(message.SubID(fmt.Sprintf("burst%d", b)))
+				}
+			}
+			k := i % 8
+			id := message.SubID(fmt.Sprintf("churn%d", k))
+			base := message.SubID(fmt.Sprintf("s%d", k))
+			if i%16 < 8 {
+				prt.Insert(id, "cw", churn, "hop2")
+				prt.Remove(base)
+			} else {
+				prt.Remove(id)
+				prt.Insert(base, "cs", window(k), "hop1")
+			}
 		}
 	}()
 
@@ -48,15 +73,12 @@ func TestConcurrentMatchAndMutate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				recs := prt.Match(ev)
-				found := false
-				for _, r := range recs {
-					if r.ID == "stable" {
-						found = true
-						break
-					}
+				if len(recs) != 2 || recs[0].ID != "late" || recs[1].ID != "stable" {
+					t.Errorf("match = %v, want [late stable]", recIDs(recs))
+					return
 				}
-				if !found {
-					t.Error("stable record missing from match result")
+				if !prt.MatchAny(ev) {
+					t.Error("MatchAny missed the stable records")
 					return
 				}
 			}
@@ -65,6 +87,16 @@ func TestConcurrentMatchAndMutate(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-writerDone
+	tb := prt.t
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	t.Logf("%d builds, %d drops, %d folds, tax %d", tb.builds, tb.drops, tb.folds, tb.tax.Load())
+	if tb.folds == 0 && tb.tax.Load() == 0 {
+		t.Error("no matcher ever ran under a delta")
+	}
+	if tb.builds > 1+tb.drops+tb.folds {
+		t.Errorf("%d builds for %d drops and %d folds: matchers built side by side", tb.builds, tb.drops, tb.folds)
+	}
 }
 
 // TestConcurrentCoveringAndMutate exercises the covering-relation queries —

@@ -220,28 +220,46 @@ func TestDifferentialMatchInto(t *testing.T) {
 }
 
 // FuzzMatchDifferential drives the fuzzer over (seed-derived) tables and a
-// fuzzed query event, comparing the counting index against brute force.
+// fuzzed query event, comparing the counting index against brute force. The
+// base is built after the first `warm` inserts, so the rest of the inserts,
+// and the removals and replacements interleaved with them, reach the final
+// match as a delta (or, past its limit, as a dropped base).
 func FuzzMatchDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(10), "a", 5.0)
-	f.Add(int64(7), uint8(40), "d", 19.0)
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, attr string, x float64) {
+	f.Add(int64(1), uint8(10), uint8(0), "a", 5.0)
+	f.Add(int64(7), uint8(40), uint8(20), "d", 19.0)
+	f.Add(int64(3), uint8(200), uint8(100), "b", 7.0)
+	f.Fuzz(func(t *testing.T, seed int64, n, warm uint8, attr string, x float64) {
 		r := rand.New(rand.NewSource(seed))
 		prt := NewPRT()
 		mirror := map[string]*predicate.Filter{}
-		for i := 0; i < int(n%64); i++ {
-			id := fmt.Sprintf("s%d", i)
-			fl := diffFilter(r)
-			prt.Insert(message.SubID(id), "c", fl, "hop")
-			mirror[id] = fl
-		}
 		e := diffEvent(r)
 		if attr != "" {
 			e[attr] = predicate.Number(x)
+		}
+		for i := 0; i < int(n); i++ {
+			if i == int(warm) {
+				prt.Match(e)
+			}
+			id := fmt.Sprintf("s%d", i)
+			if i > int(warm) && r.Intn(3) == 0 {
+				id = fmt.Sprintf("s%d", r.Intn(i)) // replace, or re-insert a removed one
+			}
+			fl := diffFilter(r)
+			prt.Insert(message.SubID(id), "c", fl, "hop")
+			mirror[id] = fl
+			if i > int(warm) && r.Intn(4) == 0 {
+				id = fmt.Sprintf("s%d", r.Intn(i))
+				prt.Remove(message.SubID(id))
+				delete(mirror, id)
+			}
 		}
 		got := recIDs(prt.Match(e))
 		want := brute(mirror, func(_ string, fl *predicate.Filter) bool { return fl.Matches(e) })
 		if !sameIDs(got, want) {
 			t.Fatalf("Match(%v) = %v, brute = %v", e, got, want)
+		}
+		if prt.MatchAny(e) != (len(want) > 0) {
+			t.Fatalf("MatchAny(%v) disagrees with brute force %v", e, want)
 		}
 	})
 }

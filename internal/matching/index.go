@@ -2,17 +2,39 @@ package matching
 
 import (
 	"cmp"
+	"math"
+	"slices"
 	"sort"
+
+	"padres/internal/predicate"
 )
 
 // Two index families back a routing table, with different
 // mutation/query tradeoffs:
 //
-//   - The match index (matchIndex, built over the itree) is an immutable
-//     snapshot rebuilt lazily after mutations. Publication matching is the
-//     hot path and vastly outnumbers table mutations, so an O(n log n)
-//     rebuild amortized over a match-heavy phase buys lock-free O(log n +
-//     k) stabs with zero per-event allocation.
+//   - The match index is base + delta. The base (matchIndex, built over
+//     the itree) is immutable: lock-free O(log n + k) stabs with zero
+//     per-event allocation, at an O(n log n) build. In the regime this
+//     system exists for — clients moving and subscribing while
+//     publications flow — writes interleave with matches one for one, so a
+//     write must not cost the next match a build. A write instead records
+//     a delta against the base (table.adds, table.dead), and a match under
+//     a delta stabs the base, discards the matches that are dead and tests
+//     the adds one by one, under the read lock. Two rules bound what the
+//     delta may cost, both from what the table itself can see:
+//
+//     Write rule: a write that takes the delta past max(64, √n), n the
+//     base's size, drops the base. Set-up and write-only phases therefore
+//     pay a compare and an append per write for at most that many writes,
+//     then nothing, exactly as if there were no index; and a match never
+//     scans more than that many adds where a build would visit n records.
+//     (Under the floor of 64 a delta scan is cheaper than any build.)
+//
+//     Read rule: a match under a delta is taxed the delta's size; once the
+//     tax paid since the base was built reaches 4(n + limit), about what
+//     building a base costs in record visits, the next match builds one
+//     (rent until the rent paid equals the price, then buy). A read-only
+//     phase after a burst of writes pays a bounded tax and then none.
 //
 //   - The covering index (postings/plist below) is a live incremental
 //     structure. The broker's subscribe flow is covering-query-then-insert
@@ -240,6 +262,111 @@ type matchIndex struct {
 	recs  []*Record // slot → record (nil for slots free at snapshot time)
 	need  []int32   // slot → number of constrained attributes
 	attrs map[string]*attrIdx
+
+	limit  int   // delta size past which a write drops this base
+	foldAt int64 // delta tax at which a match replaces this base
+}
+
+// buildMatchIndex builds the index of the records in slots; nattrs sizes
+// the attribute map.
+func buildMatchIndex(slots []*Record, nattrs int) *matchIndex {
+	idx := &matchIndex{
+		recs:  slices.Clone(slots),
+		need:  make([]int32, len(slots)),
+		attrs: make(map[string]*attrIdx, nattrs),
+	}
+	type builder struct {
+		num   []ientry[float64]
+		str   []ientry[string]
+		loose []iref
+	}
+	builders := make(map[string]*builder, nattrs)
+	n := 0
+	var ab attrBuf
+	for _, rec := range slots {
+		if rec == nil {
+			continue
+		}
+		n++
+		idx.need[rec.slot] = int32(rec.Filter.AttrCount())
+		for _, attr := range rec.Filter.AppendAttrs(ab[:0]) {
+			b := builders[attr]
+			if b == nil {
+				b = &builder{}
+				builders[attr] = b
+			}
+			c := rec.Filter.Constraint(attr)
+			ref := iref{slot: rec.slot, c: c}
+			lo, hi, loInf, hiInf := c.Interval()
+			switch c.ValueKind() {
+			case predicate.KindNumber:
+				b.num = append(b.num, ientry[float64]{lo: lo.Num, hi: hi.Num, loInf: loInf, hiInf: hiInf, ref: ref})
+			case predicate.KindString:
+				b.str = append(b.str, ientry[string]{lo: lo.S, hi: hi.S, loInf: loInf, hiInf: hiInf, ref: ref})
+			default:
+				b.loose = append(b.loose, ref)
+			}
+		}
+	}
+	for attr, b := range builders {
+		idx.attrs[attr] = &attrIdx{num: buildITree(b.num), str: buildITree(b.str), loose: b.loose}
+	}
+	idx.limit = max(64, int(math.Sqrt(float64(n))))
+	idx.foldAt = 4 * int64(n+idx.limit)
+	return idx
+}
+
+// count runs the counting algorithm for one event and returns the slots of
+// the records it satisfies, in sc.matched: one interval-tree stab per event
+// attribute, exact verification of each candidate, and an epoch-stamped
+// dense counter per record slot. With first set it stops at the first event
+// attribute that completes a match.
+func (idx *matchIndex) count(e predicate.Event, sc *matchScratch, first bool) []int32 {
+	matched := sc.matched[:0]
+	cand := sc.cand
+	for attr, v := range e {
+		ai := idx.attrs[attr]
+		if ai == nil || !v.IsValid() {
+			continue
+		}
+		cand = cand[:0]
+		switch v.K {
+		case predicate.KindNumber:
+			cand = ai.num.stab(v.Num, cand)
+		case predicate.KindString:
+			cand = ai.str.stab(v.S, cand)
+		}
+		for _, r := range cand {
+			if !r.c.Matches(v) {
+				continue
+			}
+			if sc.epoch[r.slot] != sc.cur {
+				sc.epoch[r.slot] = sc.cur
+				sc.counts[r.slot] = 0
+			}
+			sc.counts[r.slot]++
+			if sc.counts[r.slot] == idx.need[r.slot] {
+				matched = append(matched, r.slot)
+			}
+		}
+		// Presence-only constraints admit any valid value of any kind.
+		for _, r := range ai.loose {
+			if sc.epoch[r.slot] != sc.cur {
+				sc.epoch[r.slot] = sc.cur
+				sc.counts[r.slot] = 0
+			}
+			sc.counts[r.slot]++
+			if sc.counts[r.slot] == idx.need[r.slot] {
+				matched = append(matched, r.slot)
+			}
+		}
+		if first && len(matched) > 0 {
+			break
+		}
+	}
+	sc.matched = matched
+	sc.cand = cand
+	return matched
 }
 
 // matchScratch is the per-match working set, pooled so the counting hot

@@ -2,7 +2,7 @@ package matching
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 
 	"padres/internal/predicate"
 )
@@ -50,18 +50,23 @@ type itree[K cmp.Ordered] struct {
 	root *inode[K]
 }
 
-// buildITree constructs a tree from entries. The slice is consumed.
+// buildITree constructs a tree from entries. The slice is consumed: every
+// node's byLo list is a segment of it, partitioned and sorted in place.
 func buildITree[K cmp.Ordered](entries []ientry[K]) *itree[K] {
 	if len(entries) == 0 {
 		return nil
 	}
-	return &itree[K]{root: buildINode(entries)}
+	// One endpoint buffer serves every node: a node is done with it before
+	// its children are built.
+	eps := make([]K, 0, 2*len(entries))
+	return &itree[K]{root: buildINode(entries, eps)}
 }
 
-func buildINode[K cmp.Ordered](entries []ientry[K]) *inode[K] {
+func buildINode[K cmp.Ordered](entries []ientry[K], eps []K) *inode[K] {
 	n := &inode[K]{}
-	eps := make([]K, 0, 2*len(entries))
-	for _, e := range entries {
+	eps = eps[:0]
+	for i := range entries {
+		e := &entries[i]
 		if !e.loInf {
 			eps = append(eps, e.lo)
 		}
@@ -74,48 +79,74 @@ func buildINode[K cmp.Ordered](entries []ientry[K]) *inode[K] {
 		n.setEntries(entries)
 		return n
 	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
+	slices.Sort(eps)
 	n.center = eps[len(eps)/2]
-	var left, right, here []ientry[K]
-	for _, e := range entries {
+	// Three-way partition in place: entries[:h] span the center,
+	// entries[h:r] end below it, entries[r:] start above it.
+	h, r := 0, len(entries)
+	for i := 0; i < r; {
+		e := &entries[i]
 		switch {
 		case !e.hiInf && e.hi < n.center:
-			left = append(left, e)
+			i++
 		case !e.loInf && e.lo > n.center:
-			right = append(right, e)
+			r--
+			entries[i], entries[r] = entries[r], entries[i]
 		default:
-			here = append(here, e)
+			entries[i], entries[h] = entries[h], entries[i]
+			h++
+			i++
 		}
 	}
-	// The entry owning the median endpoint spans the center, so `here` is
-	// never empty and both subtrees strictly shrink — recursion terminates.
-	n.setEntries(here)
-	if len(left) > 0 {
-		n.left = buildINode(left)
+	// The entry owning the median endpoint spans the center, so the first
+	// segment is never empty and both subtrees strictly shrink — recursion
+	// terminates.
+	n.setEntries(entries[:h:h])
+	if h < r {
+		n.left = buildINode(entries[h:r], eps)
 	}
-	if len(right) > 0 {
-		n.right = buildINode(right)
+	if r < len(entries) {
+		n.right = buildINode(entries[r:], eps)
 	}
 	return n
 }
 
+// setEntries installs the node's two lists. Entries with equal bounds —
+// every subscription to one class, say — are kept in slot order, so a stab
+// that returns them all walks their records and constraints in the order
+// they were allocated.
 func (n *inode[K]) setEntries(here []ientry[K]) {
 	n.byLo = here
-	n.byHi = append([]ientry[K](nil), here...)
-	sort.Slice(n.byLo, func(i, j int) bool {
-		a, b := n.byLo[i], n.byLo[j]
-		if a.loInf != b.loInf {
-			return a.loInf
+	n.byHi = slices.Clone(here)
+	slices.SortFunc(n.byLo, func(a, b ientry[K]) int {
+		if c := trueFirst(a.loInf, b.loInf); c != 0 {
+			return c
 		}
-		return a.lo < b.lo
-	})
-	sort.Slice(n.byHi, func(i, j int) bool {
-		a, b := n.byHi[i], n.byHi[j]
-		if a.hiInf != b.hiInf {
-			return a.hiInf
+		if c := cmp.Compare(a.lo, b.lo); c != 0 {
+			return c
 		}
-		return a.hi > b.hi
+		return cmp.Compare(a.ref.slot, b.ref.slot)
 	})
+	slices.SortFunc(n.byHi, func(a, b ientry[K]) int {
+		if c := trueFirst(a.hiInf, b.hiInf); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.hi, a.hi); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ref.slot, b.ref.slot)
+	})
+}
+
+// trueFirst orders true before false.
+func trueFirst(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return -1
+	}
+	return 1
 }
 
 // stab appends to out the refs of every entry whose closed hull contains v.

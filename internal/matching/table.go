@@ -8,10 +8,12 @@
 // 2001) over per-attribute interval trees: a publication stabs the trees of
 // its attributes, candidates are verified exactly, and a record matches
 // when its satisfied-constraint count equals its attribute count. The hot
-// path runs against an immutable snapshot with pooled dense counters, so it
-// takes no locks and allocates nothing. Covering and intersection queries
-// run against live per-attribute posting lists that prune by interval hull
-// and selectivity, with a result cache invalidated on mutation.
+// path runs against an immutable base index with pooled dense counters, so
+// it allocates nothing, and takes no lock unless writes since the base was
+// built have left a delta to apply (index.go). Covering and intersection
+// queries run against live per-attribute posting lists that prune by
+// interval hull and selectivity, with a result cache invalidated on
+// mutation.
 package matching
 
 import (
@@ -35,6 +37,11 @@ type Record struct {
 	slot int32
 }
 
+// attrBuf is where a table walks a filter's attribute names
+// (Filter.AppendAttrs): on the stack, so the walk allocates nothing for a
+// filter of up to 8 attributes.
+type attrBuf [8]string
+
 // covCacheMax bounds the covering-result cache; past it the whole cache is
 // dropped (mutations clear it anyway, so steady state never gets there).
 const covCacheMax = 4096
@@ -55,9 +62,24 @@ type table struct {
 	// change any relation).
 	covCache map[string][]*Record
 
-	// snap caches the immutable match index for lock-free matching; nil
-	// after any mutation, rebuilt lazily under the read lock.
-	snap atomic.Pointer[matchIndex]
+	// The match index is an immutable base plus the delta writes have left
+	// against it since it was built (index.go, "base + delta"): adds holds
+	// the records inserted since, dead marks the base slots vacated since
+	// (one bit per base slot, ndead of them set). All four are guarded by
+	// mu and meaningless while base is nil. snap is what lock-free matching
+	// loads: the base while the delta is empty, nil otherwise.
+	base  *matchIndex
+	adds  []*Record
+	dead  []uint64
+	ndead int
+	snap  atomic.Pointer[matchIndex]
+	// tax counts the record visits the delta has cost matches since the
+	// base was built; readers add to it under the read lock.
+	tax atomic.Int64
+
+	// builds, drops and folds count index builds, bases dropped by a write
+	// and deltas folded into a fresh base by a read.
+	builds, drops, folds int
 
 	scratch sync.Pool // *matchScratch
 }
@@ -90,7 +112,8 @@ func (t *table) Insert(rec *Record) {
 	t.slots[s] = rec
 	t.records[rec.ID] = rec
 	g := t.gens[s]
-	for _, attr := range rec.Filter.Attrs() {
+	var ab attrBuf
+	for _, attr := range rec.Filter.AppendAttrs(ab[:0]) {
 		ps := t.attrs[attr]
 		if ps == nil {
 			ps = &postings{}
@@ -107,6 +130,9 @@ func (t *table) Insert(rec *Record) {
 			ps.loose = append(ps.loose, pref{s, g})
 		}
 		ps.count++
+	}
+	if t.base != nil {
+		t.adds = append(t.adds, rec)
 	}
 	t.invalidateLocked()
 }
@@ -133,7 +159,11 @@ func (t *table) vacateLocked(rec *Record) {
 	t.slots[s] = nil
 	t.gens[s]++
 	t.free = append(t.free, s)
-	for _, attr := range rec.Filter.Attrs() {
+	if t.base != nil {
+		t.unindexLocked(rec)
+	}
+	var ab attrBuf
+	for _, attr := range rec.Filter.AppendAttrs(ab[:0]) {
 		ps := t.attrs[attr]
 		if ps == nil {
 			continue
@@ -178,12 +208,56 @@ func (t *table) aliveLocked(r pref) bool {
 	return t.gens[r.slot] == r.gen && t.slots[r.slot] != nil
 }
 
-// invalidateLocked drops caches that any mutation can stale.
+// unindexLocked takes a vacated record out of the match index: a record the
+// base holds is marked dead there (the base keeps its own slot → record
+// copy, so the slot can be reused at once), one inserted since is dropped
+// from adds. Recent adds go first — a subscription that comes and goes.
+func (t *table) unindexLocked(rec *Record) {
+	if s := int(rec.slot); s < len(t.base.recs) && t.base.recs[s] == rec {
+		t.dead[s>>6] |= 1 << (s & 63)
+		t.ndead++
+		return
+	}
+	last := len(t.adds) - 1
+	for i := last; i >= 0; i-- {
+		if t.adds[i] == rec {
+			t.adds[i] = t.adds[last]
+			t.adds[last] = nil
+			t.adds = t.adds[:last]
+			return
+		}
+	}
+}
+
+// invalidateLocked closes a mutation: it settles what lock-free matching
+// may see and drops the caches any mutation can stale. This is the write
+// rule of the match index — a delta past the limit fixed when the base was
+// built drops the base, and writes are O(1) again until a match next needs
+// an index.
 func (t *table) invalidateLocked() {
-	t.snap.Store(nil)
+	if idx := t.base; idx != nil {
+		switch n := len(t.adds) + t.ndead; {
+		case n == 0:
+			t.snap.Store(idx)
+		case n > idx.limit:
+			t.dropBaseLocked()
+			t.drops++
+		default:
+			t.snap.Store(nil)
+		}
+	}
 	if len(t.covCache) > 0 {
 		clear(t.covCache)
 	}
+}
+
+// dropBaseLocked discards the base and the delta recorded against it.
+func (t *table) dropBaseLocked() {
+	t.base = nil
+	t.snap.Store(nil)
+	clear(t.adds)
+	t.adds = t.adds[:0]
+	t.dead, t.ndead = nil, 0
 }
 
 // Get returns the record with the given ID, or nil.
@@ -228,58 +302,45 @@ func (t *table) All() []*Record {
 	return out
 }
 
-// matchSnapshot returns the current immutable index snapshot, rebuilding it
-// under the read lock when a mutation has invalidated it. Storing while the
-// read lock is held keeps the rebuild correct: mutations take the write
-// lock, so an invalidation cannot interleave between the build and the
-// store and leave a stale snapshot installed.
-func (t *table) matchSnapshot() *matchIndex {
+// acquire returns the index to match against. With locked false the index
+// is complete on its own and nothing is held; with locked true it is the
+// base of a non-empty delta, t.mu is read-held so adds and dead stand still,
+// and the caller releases it. This is the read rule of the match index:
+// once the delta has taxed matches as much as a rebuild would cost
+// (idx.foldAt), the next match folds it into a fresh base instead of
+// carrying it further.
+func (t *table) acquire() (idx *matchIndex, locked bool) {
 	if idx := t.snap.Load(); idx != nil {
-		return idx
+		return idx, false
 	}
 	t.mu.RLock()
-	defer t.mu.RUnlock()
+	if idx := t.base; idx != nil && t.tax.Load() < idx.foldAt {
+		return idx, true
+	}
+	t.mu.RUnlock()
+	return t.rebuild(), false
+}
+
+// rebuild builds a fresh base from the live slots under the write lock, so
+// however many matchers find no usable index at once, one builds and the
+// rest wait for it and take its result. The index returned is the whole
+// table as of the build; a write that lands after the lock is released
+// linearizes after the caller's match.
+func (t *table) rebuild() *matchIndex {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if idx := t.snap.Load(); idx != nil {
 		return idx
 	}
-	idx := &matchIndex{
-		recs:  append([]*Record(nil), t.slots...),
-		need:  make([]int32, len(t.slots)),
-		attrs: make(map[string]*attrIdx, len(t.attrs)),
+	if t.base != nil {
+		t.folds++
 	}
-	type builder struct {
-		num   []ientry[float64]
-		str   []ientry[string]
-		loose []iref
-	}
-	builders := make(map[string]*builder, len(t.attrs))
-	for _, rec := range t.slots {
-		if rec == nil {
-			continue
-		}
-		idx.need[rec.slot] = int32(rec.Filter.AttrCount())
-		for _, attr := range rec.Filter.Attrs() {
-			b := builders[attr]
-			if b == nil {
-				b = &builder{}
-				builders[attr] = b
-			}
-			c := rec.Filter.Constraint(attr)
-			ref := iref{slot: rec.slot, c: c}
-			lo, hi, loInf, hiInf := c.Interval()
-			switch c.ValueKind() {
-			case predicate.KindNumber:
-				b.num = append(b.num, ientry[float64]{lo: lo.Num, hi: hi.Num, loInf: loInf, hiInf: hiInf, ref: ref})
-			case predicate.KindString:
-				b.str = append(b.str, ientry[string]{lo: lo.S, hi: hi.S, loInf: loInf, hiInf: hiInf, ref: ref})
-			default:
-				b.loose = append(b.loose, ref)
-			}
-		}
-	}
-	for attr, b := range builders {
-		idx.attrs[attr] = &attrIdx{num: buildITree(b.num), str: buildITree(b.str), loose: b.loose}
-	}
+	t.dropBaseLocked()
+	idx := buildMatchIndex(t.slots, len(t.attrs))
+	t.base = idx
+	t.dead = make([]uint64, (len(idx.recs)+63)/64)
+	t.tax.Store(0)
+	t.builds++
 	t.snap.Store(idx)
 	return idx
 }
@@ -296,56 +357,11 @@ func (t *table) getScratch(n int) *matchScratch {
 // MatchInto appends the records whose filters match the event to out and
 // returns it, sorted by ID. This is the counting algorithm hot path: one
 // interval-tree stab per event attribute, exact verification of each
-// candidate, and an epoch-stamped dense counter per record slot. It takes
-// no locks (snapshot read) and allocates nothing when out has capacity.
+// candidate, and an epoch-stamped dense counter per record slot. It
+// allocates nothing when out has capacity, and takes no lock unless there
+// is a delta to apply.
 func (t *table) MatchInto(e predicate.Event, out []*Record) []*Record {
-	idx := t.matchSnapshot()
-	sc := t.getScratch(len(idx.recs))
-	matched := sc.matched[:0]
-	cand := sc.cand
-	for attr, v := range e {
-		ai := idx.attrs[attr]
-		if ai == nil || !v.IsValid() {
-			continue
-		}
-		cand = cand[:0]
-		switch v.K {
-		case predicate.KindNumber:
-			cand = ai.num.stab(v.Num, cand)
-		case predicate.KindString:
-			cand = ai.str.stab(v.S, cand)
-		}
-		for _, r := range cand {
-			if !r.c.Matches(v) {
-				continue
-			}
-			if sc.epoch[r.slot] != sc.cur {
-				sc.epoch[r.slot] = sc.cur
-				sc.counts[r.slot] = 0
-			}
-			sc.counts[r.slot]++
-			if sc.counts[r.slot] == idx.need[r.slot] {
-				matched = append(matched, r.slot)
-			}
-		}
-		// Presence-only constraints admit any valid value of any kind.
-		for _, r := range ai.loose {
-			if sc.epoch[r.slot] != sc.cur {
-				sc.epoch[r.slot] = sc.cur
-				sc.counts[r.slot] = 0
-			}
-			sc.counts[r.slot]++
-			if sc.counts[r.slot] == idx.need[r.slot] {
-				matched = append(matched, r.slot)
-			}
-		}
-	}
-	for _, s := range matched {
-		out = append(out, idx.recs[s])
-	}
-	sc.matched = matched
-	sc.cand = cand
-	t.scratch.Put(sc)
+	out, _ = t.match(e, out, false)
 	sortRecords(out)
 	return out
 }
@@ -356,51 +372,61 @@ func (t *table) Match(e predicate.Event) []*Record {
 }
 
 // MatchAny reports whether any record's filter matches the event, stopping
-// at the first hit. Used for the advertisement-conformance check on the
-// publish path, which needs existence only.
+// at the first event attribute that completes a match. Used for the
+// advertisement-conformance check on the publish path, which needs
+// existence only.
 func (t *table) MatchAny(e predicate.Event) bool {
-	idx := t.matchSnapshot()
+	_, hit := t.match(e, nil, true)
+	return hit
+}
+
+// match runs the counting algorithm over the base and then applies the
+// delta, if there is one: a base match whose slot has since been vacated is
+// discarded — a check per match, not per candidate — and the records
+// inserted since are tested one by one. It appends the matching records to
+// out unsorted; with exists set it appends nothing and only reports whether
+// there is one.
+func (t *table) match(e predicate.Event, out []*Record, exists bool) ([]*Record, bool) {
+	idx, locked := t.acquire()
+	masked := locked && t.ndead > 0
 	sc := t.getScratch(len(idx.recs))
-	defer t.scratch.Put(sc)
-	cand := sc.cand
-	defer func() { sc.cand = cand }()
-	for attr, v := range e {
-		ai := idx.attrs[attr]
-		if ai == nil || !v.IsValid() {
-			continue
-		}
-		cand = cand[:0]
-		switch v.K {
-		case predicate.KindNumber:
-			cand = ai.num.stab(v.Num, cand)
-		case predicate.KindString:
-			cand = ai.str.stab(v.S, cand)
-		}
-		for _, r := range cand {
-			if !r.c.Matches(v) {
-				continue
-			}
-			if sc.epoch[r.slot] != sc.cur {
-				sc.epoch[r.slot] = sc.cur
-				sc.counts[r.slot] = 0
-			}
-			sc.counts[r.slot]++
-			if sc.counts[r.slot] == idx.need[r.slot] {
-				return true
+	// A first match settles existence unless it may turn out dead.
+	matched := idx.count(e, sc, exists && !masked)
+	if masked {
+		live := matched[:0]
+		for _, s := range matched {
+			if t.dead[s>>6]&(1<<(s&63)) == 0 {
+				live = append(live, s)
 			}
 		}
-		for _, r := range ai.loose {
-			if sc.epoch[r.slot] != sc.cur {
-				sc.epoch[r.slot] = sc.cur
-				sc.counts[r.slot] = 0
-			}
-			sc.counts[r.slot]++
-			if sc.counts[r.slot] == idx.need[r.slot] {
-				return true
-			}
+		matched = live
+	}
+	hit := len(matched) > 0
+	if !exists {
+		for _, s := range matched {
+			out = append(out, idx.recs[s])
 		}
 	}
-	return false
+	t.scratch.Put(sc)
+	if locked {
+		if !(exists && hit) {
+			for _, rec := range t.adds {
+				if !rec.Filter.Matches(e) {
+					continue
+				}
+				hit = true
+				if exists {
+					break
+				}
+				out = append(out, rec)
+			}
+		}
+		// A match under a delta is taxed the delta's size: every add was
+		// visited, and at most ndead matches were found and thrown away.
+		t.tax.Add(int64(len(t.adds) + t.ndead))
+		t.mu.RUnlock()
+	}
+	return out, hit
 }
 
 // Intersecting returns records whose filters intersect f.
@@ -421,7 +447,8 @@ func (t *table) Intersecting(f *predicate.Filter) []*Record {
 		return append([]*Record(nil), hit...)
 	}
 	best, bestCount := "", -1
-	for _, attr := range f.Attrs() {
+	var ab attrBuf
+	for _, attr := range f.AppendAttrs(ab[:0]) {
 		c := 0
 		if ps := t.attrs[attr]; ps != nil {
 			c = ps.count
@@ -485,7 +512,8 @@ func (t *table) Covering(f *predicate.Filter, excludeID string) []*Record {
 		return append([]*Record(nil), hit...)
 	}
 	var prefs []pref
-	for _, attr := range f.Attrs() {
+	var ab attrBuf
+	for _, attr := range f.AppendAttrs(ab[:0]) {
 		ps := t.attrs[attr]
 		if ps == nil {
 			continue
@@ -525,7 +553,8 @@ func (t *table) CoveredBy(f *predicate.Filter, excludeID string) []*Record {
 		return append([]*Record(nil), hit...)
 	}
 	best, bestCount := "", -1
-	for _, attr := range f.Attrs() {
+	var ab attrBuf
+	for _, attr := range f.AppendAttrs(ab[:0]) {
 		c := 0
 		if ps := t.attrs[attr]; ps != nil {
 			c = ps.count
@@ -738,6 +767,16 @@ func (p *PRT) MatchInto(e predicate.Event, out []*Record) []*Record { return p.t
 
 // MatchAny reports whether any subscription matches the publication.
 func (p *PRT) MatchAny(e predicate.Event) bool { return p.t.MatchAny(e) }
+
+// IndexBuilds returns how many times the match index has been built from
+// the whole table. A write records a delta against the index instead of
+// dropping it, so builds follow writes at one per max(64, √n) of them at
+// worst, not one per publication that follows a write.
+func (p *PRT) IndexBuilds() int {
+	p.t.mu.RLock()
+	defer p.t.mu.RUnlock()
+	return p.t.builds
+}
 
 // Intersecting returns subscriptions intersecting the advertisement filter.
 func (p *PRT) Intersecting(adv *predicate.Filter) []*Record { return p.t.Intersecting(adv) }

@@ -79,12 +79,20 @@ func (f *Filter) Predicates() []Predicate {
 
 // Attrs returns the constrained attribute names in sorted order.
 func (f *Filter) Attrs() []string {
-	out := make([]string, 0, len(f.cons))
+	return f.AppendAttrs(make([]string, 0, len(f.cons)))
+}
+
+// AppendAttrs appends the constrained attribute names to dst in sorted
+// order and returns it. A caller that walks the names and lets them go —
+// the routing tables do, on every insert, removal and index build — passes
+// a stack buffer and allocates nothing.
+func (f *Filter) AppendAttrs(dst []string) []string {
+	n := len(dst)
 	for a := range f.cons {
-		out = append(out, a)
+		dst = append(dst, a)
 	}
-	sortStrings(out)
-	return out
+	sortStrings(dst[n:])
+	return dst
 }
 
 // AttrCount returns the number of distinct attributes the filter constrains.

@@ -67,7 +67,7 @@ func run(args []string) error {
 		buckets  = fs.Int("buckets", 10, "time buckets for latency-over-time figures")
 		csvOut   = fs.String("csv", "", "directory to write per-figure CSV data into")
 		jnlPath  = fs.String("journal", "", "record a flight-recorder journal to this JSONL file")
-		auditRun = fs.Bool("audit", false, "audit the recorded journal after the run (requires -journal or implies in-memory)")
+		doAudit  = fs.Bool("audit", false, "audit the recorded journal after the run (requires -journal or implies in-memory)")
 		chaosRun = fs.Bool("chaos", false, "run the seeded chaos soak (reliable links under loss/dup/reorder/partition/crash) instead of a figure")
 		moves    = fs.Int("moves", 200, "chaos: number of movement transactions to drive")
 		chaosDir = fs.String("data-dir", "", "chaos: broker durable-store root; arms crash→restart recovery (crashed brokers rebuild routing state from snapshot+WAL and resolve in-doubt movements)")
@@ -110,7 +110,7 @@ func run(args []string) error {
 	csvDir = *csvOut
 
 	var jnl *journal.Journal
-	if *jnlPath != "" || *auditRun {
+	if *jnlPath != "" || *doAudit {
 		jnl = journal.New(0)
 		if *jnlPath != "" {
 			if err := jnl.SinkTo(*jnlPath); err != nil {
@@ -136,7 +136,7 @@ func run(args []string) error {
 	if runErr != nil {
 		return runErr
 	}
-	if *auditRun {
+	if *doAudit {
 		rep := audit.Audit(jnl.Snapshot())
 		rep.Write(os.Stdout)
 		if !rep.Clean() {

@@ -10,17 +10,16 @@
 //	padres-audit -v run.jsonl              # also print violating tx timelines
 //	padres-audit -timeline mv-b1-3 run.jsonl
 //	padres-audit -json run.jsonl           # machine-readable report
-//	padres-audit -stream run.jsonl         # also differential-check audit.Stream
+//	padres-audit -stream run.jsonl         # also check arrival-order independence
 //
-// -stream is the streaming auditor's self-check: the journal additionally
-// runs through audit.Stream as shuffled per-site chunks (the arrival order
-// a fleet of independently-paced /journal/stream tails produces) and the
-// command fails unless every interleaving finalizes to exactly the batch
-// report.
+// The verdict is audit.Audit's: the journal fed to audit.Stream in causal
+// order. -stream additionally feeds it as shuffled per-site chunks (the
+// arrival order a fleet of independently-paced /journal/stream tails
+// produces) and the command fails unless every interleaving finalizes to
+// exactly the same report — what the live fleet auditor relies on.
 //
 // The exit status is 0 when every property holds, 1 when the auditor found
-// violations or the streaming differential diverged, and 2 on usage or
-// input errors.
+// violations or a shuffled feed diverged, and 2 on usage or input errors.
 package main
 
 import (
@@ -46,7 +45,7 @@ func run(args []string) int {
 		runNum   = fs.Int64("run", 0, "restrict -timeline to this run (default: every run the tx appears in)")
 		verbose  = fs.Bool("v", false, "print the causal timeline of every violating transaction")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON instead of text")
-		stream   = fs.Bool("stream", false, "differential-check the streaming auditor against the batch report")
+		stream   = fs.Bool("stream", false, "also require shuffled per-site feeds to finalize to the same report")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: padres-audit [flags] <journal.jsonl>")
@@ -78,10 +77,10 @@ func run(args []string) int {
 	rep := audit.Audit(recs)
 	if *stream {
 		if diff := streamDifferential(recs, rep); diff != "" {
-			fmt.Fprintln(os.Stderr, "padres-audit: streaming auditor diverged from batch:", diff)
+			fmt.Fprintln(os.Stderr, "padres-audit: arrival order changed the verdict:", diff)
 			return 1
 		}
-		fmt.Println("streaming auditor agrees with batch on every interleaving")
+		fmt.Println("shuffled per-site feeds agree with the in-order feed on every interleaving")
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -114,17 +113,10 @@ func run(args []string) int {
 	return 1
 }
 
-// streamDifferential runs the records through the streaming auditor — once
-// in journal order from a single source, then as seeded-random
-// interleavings of per-site chunks — and returns the first divergence from
-// the batch report, or "".
-func streamDifferential(recs []journal.Record, batch *audit.Report) string {
-	whole := audit.NewStream(audit.StreamOptions{})
-	whole.Ingest("journal", recs...)
-	if diff := audit.DiffReports(batch, whole.Finalize()); diff != "" {
-		return "in-order feed: " + diff
-	}
-
+// streamDifferential feeds the records to fresh streams as seeded-random
+// interleavings of per-site chunks and returns the first divergence from
+// the in-order feed's report, or "".
+func streamDifferential(recs []journal.Record, inOrder *audit.Report) string {
 	bySite := make(map[string][]journal.Record)
 	var sites []string
 	for _, r := range recs {
@@ -152,7 +144,7 @@ func streamDifferential(recs []journal.Record, batch *audit.Report) string {
 				remaining = append(remaining[:i], remaining[i+1:]...)
 			}
 		}
-		if diff := audit.DiffReports(batch, s.Finalize()); diff != "" {
+		if diff := audit.DiffReports(inOrder, s.Finalize()); diff != "" {
 			return fmt.Sprintf("shuffled per-site feed (seed %d): %s", seed, diff)
 		}
 	}

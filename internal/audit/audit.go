@@ -1,7 +1,8 @@
 // Package audit mechanically verifies the paper's ACID mobility properties
-// against a flight-recorder journal (internal/journal). It is an offline
-// checker: given the causally-ordered record stream of one or more runs, it
-// replays the records and verifies
+// against a flight-recorder journal (internal/journal). There is one
+// auditor, Stream (stream.go): it ingests journal tails while the system
+// runs, and Audit feeds it a recorded journal in causal order. Either way it
+// replays the records of one or more runs and verifies
 //
 //	(a) exactly-once delivery — every publication a broker handed to a
 //	    subscriber's stub (directly or via a movement buffer) enters that
@@ -29,7 +30,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"padres/internal/journal"
@@ -137,104 +137,16 @@ func (r *Report) Violations() []Violation {
 	return out
 }
 
-// Audit replays a journal and verifies the mobility properties. The record
-// slice is re-sorted causally in place.
+// Audit replays a recorded journal and verifies the mobility properties: the
+// records, re-sorted causally in place, are fed to a Stream as one source
+// and finalized. Offline replay and the live fleet auditor therefore run the
+// same checks; with every record ingested before the first settlement sweep,
+// nothing is evicted early and the report is exact.
 func Audit(recs []journal.Record) *Report {
 	journal.SortCausal(recs)
-	byRun := make(map[int64][]journal.Record)
-	var runs []int64
-	for _, r := range recs {
-		if _, ok := byRun[r.Run]; !ok {
-			runs = append(runs, r.Run)
-		}
-		byRun[r.Run] = append(byRun[r.Run], r)
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
-
-	rep := &Report{Records: len(recs)}
-	for _, run := range runs {
-		rep.Runs = append(rep.Runs, auditRun(run, byRun[run]))
-	}
-	return rep
-}
-
-// auditRun checks one deployment's records (already causally sorted).
-func auditRun(run int64, recs []journal.Record) RunReport {
-	rr := RunReport{Run: run, Records: len(recs)}
-	for _, r := range recs {
-		if r.Kind == journal.KindRunConfig {
-			rr.Config = r.Detail
-			break
-		}
-	}
-	blocking := strings.Contains(rr.Config, "timeout=0s")
-
-	// Sites that crash-stopped during the run. A crash excuses the legal
-	// consequences the paper's failure model allows — unresolved
-	// transactions whose coordinator died, routing state stranded at the
-	// dead site, deliveries the dead container never completed — but never
-	// the safety core: duplicate delivery and double resolution stay
-	// violations no matter what crashed.
-	//
-	// A restart narrows the excuse: the replacement broker recovered its
-	// routing state from its durable store, so its tables must converge like
-	// any live site's — stillDown (crashed, never restarted) is what gates
-	// the convergence inspection. Container-level consequences stay excused
-	// by crashed alone: protocol state and hosted clients are not durable,
-	// so an interrupted transaction may legally stay unresolved and a dead
-	// client copy is never resurrected, restart or not.
-	crashed := make(map[string]bool)
-	stillDown := make(map[string]bool)
-	for _, r := range recs { // causal order: a restart clears earlier crashes
-		switch r.Kind {
-		case journal.KindBrokerCrash:
-			crashed[r.Site] = true
-			stillDown[r.Site] = true
-		case journal.KindBrokerRestart:
-			delete(stillDown, r.Site)
-		}
-	}
-	for site := range crashed {
-		rr.CrashedSites = append(rr.CrashedSites, site)
-		if !stillDown[site] {
-			rr.RestartedSites = append(rr.RestartedSites, site)
-		}
-	}
-	sort.Strings(rr.CrashedSites)
-	sort.Strings(rr.RestartedSites)
-
-	txs := collectTxs(recs)
-	rr.Txs = len(txs)
-	// Transactions with a crashed coordinator: their shadows and unresolved
-	// outcomes are crash consequences, not protocol bugs.
-	crashedTx := make(map[string]bool)
-	for _, tx := range txs {
-		if tx.touchesSite(crashed) {
-			crashedTx[tx.id] = true
-		}
-	}
-	for _, tx := range txs {
-		switch {
-		case tx.committed:
-			rr.Committed++
-		case tx.aborted:
-			rr.Aborted++
-		case crashedTx[tx.id]:
-			rr.CrashInterrupted++
-		default:
-			rr.Unresolved++
-		}
-		rr.Violations = append(rr.Violations, checkPhaseOrder(run, tx, blocking, crashedTx[tx.id])...)
-		if tx.aborted && !tx.committed {
-			rr.Violations = append(rr.Violations, checkAtomicity(run, tx, recs, crashed, crashedTx[tx.id])...)
-		}
-		rr.Violations = append(rr.Violations, checkReplication(run, tx)...)
-	}
-	var delivered int
-	rr.Violations = append(rr.Violations, checkDelivery(run, recs, &delivered, crashed)...)
-	rr.Delivered = delivered
-	rr.Violations = append(rr.Violations, checkConvergence(run, recs, crashed, stillDown, crashedTx)...)
-	return rr
+	s := NewStream(StreamOptions{})
+	s.Ingest("journal", recs...)
+	return s.Finalize()
 }
 
 // Timeline returns the causally ordered records of one movement transaction

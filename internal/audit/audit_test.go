@@ -41,6 +41,21 @@ func protoSteps(tx, client string, lam uint64) []journal.Record {
 	return out
 }
 
+// feedBySite ingests recs as one source per site, the sites in the given
+// order and each site's records in journal order — what per-broker tails
+// arriving at their own pace look like.
+func feedBySite(s *Stream, recs []journal.Record, sites ...string) {
+	for _, site := range sites {
+		var chunk []journal.Record
+		for _, r := range recs {
+			if r.Site == site {
+				chunk = append(chunk, r)
+			}
+		}
+		s.Ingest(site, chunk...)
+	}
+}
+
 func violationsOf(rep *Report, check string) []Violation {
 	var out []Violation
 	for _, v := range rep.Violations() {

@@ -9,71 +9,6 @@ import (
 	"padres/internal/journal"
 )
 
-// txRecord is one movement transaction's evidence: its protocol steps in
-// causal order plus the resolved outcome.
-type txRecord struct {
-	id        string
-	client    string
-	steps     []journal.Record // CatProtocol records, causal order
-	committed bool
-	aborted   bool
-}
-
-// collectTxs groups the run's protocol records by transaction, preserving
-// the causal order of the input.
-func collectTxs(recs []journal.Record) []*txRecord {
-	byID := make(map[string]*txRecord)
-	var order []string
-	for _, r := range recs {
-		if r.Cat != journal.CatProtocol || r.Tx == "" {
-			continue
-		}
-		tx, ok := byID[r.Tx]
-		if !ok {
-			tx = &txRecord{id: r.Tx}
-			byID[r.Tx] = tx
-			order = append(order, r.Tx)
-		}
-		tx.steps = append(tx.steps, r)
-		if tx.client == "" {
-			tx.client = r.Client
-		}
-		switch r.Kind {
-		case "committed":
-			tx.committed = true
-		case "aborted":
-			tx.aborted = true
-		}
-	}
-	out := make([]*txRecord, 0, len(order))
-	for _, id := range order {
-		out = append(out, byID[id])
-	}
-	return out
-}
-
-// touchesSite reports whether any of the transaction's coordinator steps
-// was recorded at one of the given sites.
-func (tx *txRecord) touchesSite(sites map[string]bool) bool {
-	for _, s := range tx.steps {
-		if sites[s.Site] {
-			return true
-		}
-	}
-	return false
-}
-
-// first returns the causal position of the first step of the given kind, or
-// -1 when the transaction never recorded it.
-func (tx *txRecord) first(kind string) int {
-	for i, s := range tx.steps {
-		if s.Kind == kind {
-			return i
-		}
-	}
-	return -1
-}
-
 // phasePrecedence lists the orderings the 3PC movement conversation
 // (Fig. 3) requires whenever both steps occur: the successful path down the
 // protocol, and the reject path. Lamport propagation makes these orderings
@@ -95,104 +30,6 @@ var phasePrecedence = [][2]string{
 	{"reject-received", "aborted"},
 }
 
-// checkPhaseOrder verifies property (b): each transaction's steps obey the
-// 3PC conversation's order, resolve to exactly one outcome, and — under the
-// blocking engine — never time out. crashInterrupted excuses a missing
-// resolution (a dead coordinator cannot resolve) but nothing else: double
-// resolution and out-of-order steps are violations even across a crash.
-func checkPhaseOrder(run int64, tx *txRecord, blocking, crashInterrupted bool) []Violation {
-	var out []Violation
-	add := func(detail string) {
-		out = append(out, Violation{Run: run, Check: "phase-order", Tx: tx.id, Client: tx.client, Detail: detail})
-	}
-
-	if tx.committed && tx.aborted {
-		add("transaction both committed and aborted")
-	}
-	if !tx.committed && !tx.aborted && !crashInterrupted {
-		add("transaction never resolved (no committed or aborted step)")
-	}
-
-	for _, pair := range phasePrecedence {
-		a, b := tx.first(pair[0]), tx.first(pair[1])
-		if a < 0 || b < 0 {
-			continue
-		}
-		if a > b {
-			add(fmt.Sprintf("%s observed before %s (lamport %d vs %d)",
-				pair[1], pair[0], tx.steps[b].Lamport, tx.steps[a].Lamport))
-		}
-	}
-
-	if tx.committed {
-		if tx.first("ack-received") < 0 {
-			add("committed without receiving acknowledgement (message 5)")
-		}
-	}
-	if tx.aborted && !tx.committed {
-		if tx.first("reject-received") < 0 && tx.first("abort-received") < 0 &&
-			tx.first("source-timeout") < 0 && tx.first("abort-sent") < 0 {
-			add("aborted without a rejection, abort, or timeout cause")
-		}
-	}
-	if blocking {
-		for _, k := range []string{"source-timeout", "target-timeout"} {
-			if tx.first(k) >= 0 {
-				add("blocking engine recorded a " + k)
-			}
-		}
-	}
-	return out
-}
-
-// checkDelivery verifies property (a): every publication evidenced as
-// reaching a subscriber's stub (a broker-level deliver, a transfer buffer,
-// or a target shell buffer) enters that subscriber's application queue
-// exactly once — no duplicates across the movement's dual-configuration
-// window, no losses across the state transfer. A publication evidenced only
-// at a crashed site is excused: the container died with the message in
-// hand, which is loss the crash-stop model permits. Duplicates are never
-// excused.
-func checkDelivery(run int64, recs []journal.Record, delivered *int, crashed map[string]bool) []Violation {
-	type key struct{ client, pub string }
-	type evidence struct{ kind, site string }
-	evidenced := make(map[key]evidence) // first evidence, for reporting
-	queued := make(map[key]int)
-
-	for _, r := range recs {
-		switch r.Kind {
-		case journal.KindDeliver, journal.KindClientBuffer, journal.KindShellBuffer:
-			k := key{r.Client, r.Ref}
-			if _, ok := evidenced[k]; !ok {
-				evidenced[k] = evidence{r.Kind, r.Site}
-			}
-		case journal.KindClientDeliver:
-			queued[key{r.Client, r.Ref}]++
-		}
-	}
-
-	var out []Violation
-	for k, n := range queued {
-		*delivered += n
-		if n > 1 {
-			out = append(out, Violation{
-				Run: run, Check: "delivery", Client: k.client, Ref: k.pub,
-				Detail: fmt.Sprintf("publication entered the application queue %d times", n),
-			})
-		}
-	}
-	for k, ev := range evidenced {
-		if queued[k] == 0 && !crashed[ev.site] {
-			out = append(out, Violation{
-				Run: run, Check: "delivery", Client: k.client, Ref: k.pub,
-				Detail: fmt.Sprintf("publication reached the stub (%s) but never entered the application queue", ev.kind),
-			})
-		}
-	}
-	sortViolations(out)
-	return out
-}
-
 // tableEntry is the replayed state of one routing record.
 type tableEntry struct {
 	client  string
@@ -208,105 +45,6 @@ type tableKey struct {
 // clientNode renders the location-qualified node identity mirrored from
 // message.ClientNode.
 func clientNode(client, brokerSite string) string { return client + "@" + brokerSite }
-
-// checkConvergence verifies property (c) by replaying every routing-table
-// mutation to its final state: no shadow configuration survives the run, no
-// entry points at a client copy its client has departed from, and each
-// moved client's filters exist at its final host.
-//
-// Crash relaxations: tables at still-down sites are not inspected (the
-// state died with the broker and nobody recovered it) — but a restarted
-// site is inspected in full, because its replacement rebuilt the tables
-// from the durable store and they must converge like any live site's. A
-// shadow surviving at an inspected site is excused when its transaction's
-// coordinator crashed (the cleanup order could never arrive); orphaned
-// entries are excused when the abandoned copy's host or the client's final
-// host ever crashed (hosted clients are not durable, so the unsubscription
-// path is severed even across a restart); the final-host filter check is
-// likewise skipped when the final host ever crashed.
-func checkConvergence(run int64, recs []journal.Record, crashed, stillDown, crashedTx map[string]bool) []Violation {
-	cs := newConvergenceState()
-	for _, r := range recs {
-		cs.apply(r)
-	}
-	return cs.violations(run, crashed, stillDown, crashedTx)
-}
-
-// checkAtomicity verifies property (d) for one aborted transaction: every
-// routing mutation the transaction performed on the moving client's records
-// is undone — per site, table, and base identifier the tagged inserts and
-// removes cancel out — and the client itself returns to the started state.
-// State stranded at a crashed site is excused (it died with the container),
-// and a crash-interrupted transaction skips the rollback check entirely:
-// cleanup propagation is coordinated by the source, so a dead coordinator
-// legally strands tx-tagged entries at live sites too. The client must
-// still resume unless the coordinator that would resume it crashed.
-func checkAtomicity(run int64, tx *txRecord, recs []journal.Record, crashed map[string]bool, crashInterrupted bool) []Violation {
-	type key struct {
-		site  string
-		table string
-		base  string
-	}
-	net := make(map[key]int)
-	// The abort cause (rejection, abort message, or timeout) is recorded at
-	// the source coordinator before it resumes the client, on the same site
-	// clock — so a "->started" transition with a later stamp at that site
-	// proves the resume.
-	var causeAt uint64
-	var causeSite string
-	resumed := false
-
-	for _, r := range recs {
-		if r.Cat == journal.CatProtocol && r.Tx == tx.id && causeAt == 0 {
-			switch r.Kind {
-			case "reject-received", "abort-received", "source-timeout":
-				causeAt, causeSite = r.Lamport, r.Site
-			}
-		}
-		if r.Kind == journal.KindClientState && r.Client == tx.client &&
-			strings.HasSuffix(r.Detail, "->started") &&
-			causeAt > 0 && r.Site == causeSite && r.Lamport > causeAt {
-			resumed = true
-		}
-		if r.Tx != tx.id || r.Client != tx.client {
-			continue
-		}
-		switch r.Kind {
-		case journal.KindSRTInsert:
-			net[key{r.Site, "srt", baseID(r.Ref)}]++
-		case journal.KindSRTRemove:
-			net[key{r.Site, "srt", baseID(r.Ref)}]--
-		case journal.KindPRTInsert:
-			net[key{r.Site, "prt", baseID(r.Ref)}]++
-		case journal.KindPRTRemove:
-			net[key{r.Site, "prt", baseID(r.Ref)}]--
-		}
-	}
-
-	var out []Violation
-	for k, n := range net {
-		if n == 0 || crashed[k.site] || crashInterrupted {
-			continue
-		}
-		verb := "left behind"
-		if n < 0 {
-			verb = "destroyed"
-		}
-		out = append(out, Violation{
-			Run: run, Check: "atomicity", Tx: tx.id, Client: tx.client, Site: k.site, Ref: k.base,
-			Detail: fmt.Sprintf("aborted transaction %s %s state in the %s (insert-remove net %+d)",
-				verb, k.base, strings.ToUpper(k.table), n),
-		})
-	}
-	if causeAt > 0 && !resumed && !crashed[causeSite] {
-		out = append(out, Violation{
-			Run: run, Check: "atomicity", Tx: tx.id, Client: tx.client,
-			Detail: "client did not return to the started state after the abort",
-		})
-	}
-	sortViolations(out)
-	return out
-}
 
 // repTakeover is one standby-takeover journal record, parsed: the fencing
 // generation the claimant won the lease at, the outcome it acted on, and
@@ -337,8 +75,9 @@ func parseTakeover(r journal.Record) repTakeover {
 	return repTakeover{gen: gen, outcome: detailField(r.Detail, "outcome"), site: r.Site}
 }
 
-// checkReplication verifies property (e) — the quorum-replication layer's
-// safety rules — for one transaction, from its standby-takeover records:
+// replicationViolations verifies property (e) — the quorum-replication
+// layer's safety rules — for one transaction, from its parsed
+// standby-takeover records:
 //
 //   - every takeover carries a fencing generation strictly above the
 //     original coordinator's (gen >= 1, the coordinator acts at gen 0);
@@ -352,21 +91,8 @@ func parseTakeover(r journal.Record) repTakeover {
 // a replica may durably hold "committed" from a quorum round that failed,
 // later superseded by the coordinator's abort. The invariant constrains
 // outcomes that were acted on — takeovers and the resolution — not every
-// record written along the way.
-func checkReplication(run int64, tx *txRecord) []Violation {
-	var takeovers []repTakeover
-	for _, s := range tx.steps {
-		if s.Kind == "standby-takeover" {
-			takeovers = append(takeovers, parseTakeover(s))
-		}
-	}
-	return replicationViolations(run, tx.id, tx.client, takeovers, tx.committed, tx.aborted)
-}
-
-// replicationViolations derives the replication findings from parsed
-// takeover evidence. Shared by the batch check and the streaming auditor so
-// both report the identical violation set; the derivation is independent of
-// the order the takeovers were observed in.
+// record written along the way. The derivation is independent of the order
+// the takeovers were observed in.
 func replicationViolations(run int64, txID, client string, takeovers []repTakeover, committed, aborted bool) []Violation {
 	if len(takeovers) == 0 {
 		return nil

@@ -1,21 +1,19 @@
 package audit_test
 
 import (
+	"compress/gzip"
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"padres/internal/audit"
 	"padres/internal/core"
 	"padres/internal/journal"
 )
-
-// diffReports compares a batch report against a streaming Finalize report:
-// same verdict, same per-run counts, same violation multiset. Returns "" on
-// equality.
-func diffReports(batch, stream *audit.Report) string {
-	return audit.DiffReports(batch, stream)
-}
 
 // demuxBySite splits a journal snapshot into per-site record streams,
 // preserving each site's emission order — exactly what per-broker
@@ -56,11 +54,30 @@ func feedShuffled(s *audit.Stream, bySite map[string][]journal.Record, chunk int
 	}
 }
 
-// TestStreamMatchesBatchOnWorkload is the differential gate: a real
-// movement workload's journal, fed to the streaming auditor as shuffled
-// per-broker chunks, must finalize to exactly the batch auditor's report —
-// same verdict, same counts, same violation multiset.
-func TestStreamMatchesBatchOnWorkload(t *testing.T) {
+// shuffledFeedsAgree fails the test unless the journal, fed to a fresh
+// stream as shuffled per-site chunks, finalizes to exactly want under
+// several seeded interleavings.
+func shuffledFeedsAgree(t *testing.T, recs []journal.Record, want *audit.Report) {
+	t.Helper()
+	bySite := demuxBySite(recs)
+	for _, seed := range []int64{1, 7, 42} {
+		s := audit.NewStream(audit.StreamOptions{})
+		feedShuffled(s, bySite, 25, seed)
+		if diff := audit.DiffReports(want, s.Finalize()); diff != "" {
+			t.Fatalf("shuffled per-site feed (seed %d) diverged from the in-order feed: %s", seed, diff)
+		}
+		if st := s.Status(); st.Records != len(recs) {
+			t.Fatalf("seed %d: stream ingested %d records, want %d", seed, st.Records, len(recs))
+		}
+	}
+}
+
+// TestShuffledFeedsMatchInOrderOnWorkload is the differential gate: a real
+// movement workload's journal, fed to the auditor as shuffled per-broker
+// chunks — the adversarial arrival order of a live fleet — must finalize to
+// exactly the report of the in-order feed Audit performs: same verdict,
+// same counts, same violation multiset.
+func TestShuffledFeedsMatchInOrderOnWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-cluster audit run")
 	}
@@ -68,32 +85,64 @@ func TestStreamMatchesBatchOnWorkload(t *testing.T) {
 	runMovementWorkload(t, j, core.ProtocolReconfig, false, 0)
 	runMovementWorkload(t, j, core.ProtocolEndToEnd, true, 0)
 	recs := j.Snapshot()
-	batch := audit.Audit(append([]journal.Record(nil), recs...))
-	if len(batch.Runs) != 2 {
-		t.Fatalf("batch audited %d runs, want 2", len(batch.Runs))
+	inOrder := audit.Audit(append([]journal.Record(nil), recs...))
+	if len(inOrder.Runs) != 2 {
+		t.Fatalf("audited %d runs, want 2", len(inOrder.Runs))
 	}
+	if sites := len(demuxBySite(recs)); sites < 4 {
+		t.Fatalf("workload touched only %d sites, want a real fleet", sites)
+	}
+	shuffledFeedsAgree(t, recs, inOrder)
+}
 
-	// In order, single source: the simplest streaming arrangement.
-	whole := audit.NewStream(audit.StreamOptions{})
-	whole.Ingest("journal", recs...)
-	if diff := diffReports(batch, whole.Finalize()); diff != "" {
-		t.Fatalf("in-order stream diverged from batch: %s", diff)
+// TestGoldenCorpus pins the auditor's verdicts to data: each journal under
+// testdata/golden was judged once by the retired batch auditor (a second,
+// independent implementation of the five checks — see DESIGN.md), and Audit
+// must reproduce that report exactly, as must every shuffled per-site feed.
+// The corpus holds the fault-injection tests' journals, a clean
+// two-protocol workload, and seeded violations of every check.
+func TestGoldenCorpus(t *testing.T) {
+	reports, err := filepath.Glob("testdata/golden/*.report.json")
+	if err != nil || len(reports) == 0 {
+		t.Fatalf("no golden reports found (err=%v)", err)
 	}
-
-	// Adversarial: per-site sources, chunked, seeded-random interleavings.
-	bySite := demuxBySite(recs)
-	if len(bySite) < 4 {
-		t.Fatalf("workload touched only %d sites, want a real fleet", len(bySite))
+	violated := make(map[string]bool)
+	for _, path := range reports {
+		name := strings.TrimSuffix(filepath.Base(path), ".report.json")
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want audit.Report
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(strings.TrimSuffix(path, ".report.json") + ".jsonl.gz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = f.Close() }()
+			zr, err := gzip.NewReader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := journal.ReadJSONL(zr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := audit.DiffReports(&want, audit.Audit(append([]journal.Record(nil), recs...))); diff != "" {
+				t.Fatalf("Audit diverged from the golden report: %s", diff)
+			}
+			shuffledFeedsAgree(t, recs, &want)
+			for _, v := range want.Violations() {
+				violated[v.Check] = true
+			}
+		})
 	}
-	for _, seed := range []int64{1, 7, 42} {
-		s := audit.NewStream(audit.StreamOptions{})
-		feedShuffled(s, bySite, 25, seed)
-		if diff := diffReports(batch, s.Finalize()); diff != "" {
-			t.Fatalf("shuffled stream (seed %d) diverged from batch: %s", seed, diff)
-		}
-		st := s.Status()
-		if st.Records != len(recs) {
-			t.Fatalf("seed %d: stream ingested %d records, want %d", seed, st.Records, len(recs))
+	for _, check := range audit.StreamChecks {
+		if !violated[check] {
+			t.Errorf("corpus holds no journal whose golden report violates %q", check)
 		}
 	}
 }

@@ -98,30 +98,35 @@ func TestReplicationDecisionConflictAloneIsLegal(t *testing.T) {
 	}
 }
 
-// TestReplicationStreamMatchesBatch feeds the same synthetic journal to the
-// batch and streaming auditors and requires identical reports, including the
-// replication findings.
-func TestReplicationStreamMatchesBatch(t *testing.T) {
+// TestReplicationShuffledMatchesInOrder feeds the same synthetic journal to
+// Audit and to a stream in another arrival order and requires identical
+// reports, including the replication findings.
+func TestReplicationShuffledMatchesInOrder(t *testing.T) {
 	var recs []journal.Record
 	recs = append(recs, cfg("protocol=reconfig covering=false timeout=100ms"))
 	recs = append(recs, protoSteps("x1", "c1", 10)...)
 	recs = append(recs,
 		decisionRec("x1", "c1", "b2", 17, 0, "committed", "b1"),
-		takeoverRec("x1", "c1", "b2", 25, 1, "aborted"),    // contradicts the commit
-		takeoverRec("x2", "c2", "b2", 30, 0, "aborted"),    // unfenced
-		takeoverRec("x2", "c2", "b3", 31, 1, "aborted"),    // fine by itself
-		takeoverRec("x3", "c3", "b2", 40, 3, "committed"),  // disagreement pair
-		takeoverRec("x3", "c3", "b3", 41, 3, "aborted"),    // and a shared generation
+		takeoverRec("x1", "c1", "b2", 25, 1, "aborted"),   // contradicts the commit
+		takeoverRec("x2", "c2", "b2", 30, 0, "aborted"),   // unfenced
+		takeoverRec("x2", "c2", "b3", 31, 1, "aborted"),   // fine by itself
+		takeoverRec("x3", "c3", "b2", 40, 3, "committed"), // disagreement pair
+		takeoverRec("x3", "c3", "b3", 41, 3, "aborted"),   // and a shared generation
 	)
 
-	batch := Audit(append([]journal.Record(nil), recs...))
-	if n := len(violationsOf(batch, "replication")); n != 4 {
-		t.Fatalf("batch replication violations = %d, want 4: %v", n, violationsOf(batch, "replication"))
+	inOrder := Audit(append([]journal.Record(nil), recs...))
+	if n := len(violationsOf(inOrder, "replication")); n != 4 {
+		t.Fatalf("replication violations = %d, want 4: %v", n, violationsOf(inOrder, "replication"))
 	}
 
+	// One source per site, standbys first: takeovers arrive before the
+	// protocol steps and resolutions they are judged against.
 	s := NewStream(StreamOptions{})
-	s.Ingest("tap", recs...)
-	if d := DiffReports(batch, s.Finalize()); d != "" {
-		t.Fatalf("batch and stream reports diverge:\n%s", d)
+	feedBySite(s, recs, "b2", "b3", "b1", "journal")
+	if st := s.Status(); st.Records != len(recs) {
+		t.Fatalf("fed %d of %d records: a site is missing from the feed order", st.Records, len(recs))
+	}
+	if d := DiffReports(inOrder, s.Finalize()); d != "" {
+		t.Fatalf("in-order and reordered reports diverge:\n%s", d)
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"padres/internal/journal"
 )
 
-// DiffReports compares two reports of the same records — typically the
-// batch auditor's against the streaming auditor's Finalize — and returns a
+// DiffReports compares two reports of the same records — typically Audit's
+// in-order replay against a live or shuffled feed's Finalize — and returns a
 // description of the first difference, or "" when they agree on verdict,
 // per-run counts, crash sets, and the exact violation multiset.
 func DiffReports(a, b *Report) string {

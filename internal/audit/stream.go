@@ -10,14 +10,14 @@ import (
 	"padres/internal/journal"
 )
 
-// This file is the online half of the auditor: audit.Stream ingests journal
-// tails from one or more sources (an in-process tap, or /journal/stream
-// feeds from a fleet of brokers) and verifies the same five properties the
-// batch Audit checks — while the system runs, with memory bounded by
-// in-flight work rather than run length.
+// This file is the auditor: audit.Stream ingests journal tails from one or
+// more sources (an in-process tap, /journal/stream feeds from a fleet of
+// brokers, or a recorded journal handed over by Audit) and verifies the
+// five properties while the system runs, with memory bounded by in-flight
+// work rather than run length.
 //
-// The design exploits the fact that every batch check is order-independent
-// given per-source delivery order: phase precedence compares the Lamport
+// The design exploits the fact that every check is order-independent given
+// per-source delivery order: phase precedence compares the Lamport
 // stamps of first occurrences, delivery and atomicity are count-based, and
 // convergence replays per-site tables whose mutations arrive in site order
 // within any one source. A global causal merge is therefore unnecessary;
@@ -26,8 +26,8 @@ import (
 // watermark has moved SettleHorizon ticks past a transaction's or
 // publication's last event, every record that could still change its
 // verdict has been seen, so a clean entry is evicted and a dirty one is
-// reported. Violating state is pinned until Finalize, which runs the exact
-// end-of-run checks and returns a batch-compatible Report.
+// reported. Violating state is pinned until Finalize, which evaluates
+// everything still held and returns the Report.
 //
 // Loss is first-class: when a source reports dropped records (a tap buffer
 // overflow, or a resume gap across a ring overwrite) the affected Lamport
@@ -187,18 +187,17 @@ type streamTx struct {
 // siteKey identifies a client's state machine at one site.
 type siteKey struct{ client, site string }
 
-// tombstone remembers a settled entity so stragglers do not resurrect it.
-type tombstone struct{ at uint64 }
-
 // streamRun is the per-deployment state.
 type streamRun struct {
-	run      int64
-	config   string
-	records  int
-	txs      map[string]*streamTx
-	pubs     map[pubKey]*pubState
-	txTombs  map[string]tombstone
-	pubTombs map[pubKey]tombstone
+	run     int64
+	config  string
+	records int
+	txs     map[string]*streamTx
+	pubs    map[pubKey]*pubState
+	// Tombstones remember settled entities, by the watermark they settled
+	// at, so stragglers do not resurrect them.
+	txTombs  map[string]uint64
+	pubTombs map[pubKey]uint64
 	// crash bookkeeping: last crash/restart per site, by stream order.
 	crashAt          map[string]cursor
 	restartAt        map[string]cursor
@@ -210,7 +209,6 @@ type streamRun struct {
 	settledTx     int
 	settledCommit int
 	settledAbort  int
-	settledPubs   int
 }
 
 func newStreamRun(run int64) *streamRun {
@@ -218,8 +216,8 @@ func newStreamRun(run int64) *streamRun {
 		run:              run,
 		txs:              make(map[string]*streamTx),
 		pubs:             make(map[pubKey]*pubState),
-		txTombs:          make(map[string]tombstone),
-		pubTombs:         make(map[pubKey]tombstone),
+		txTombs:          make(map[string]uint64),
+		pubTombs:         make(map[pubKey]uint64),
 		crashAt:          make(map[string]cursor),
 		restartAt:        make(map[string]cursor),
 		crashedTxSettled: make(map[string]bool),
@@ -228,7 +226,7 @@ func newStreamRun(run int64) *streamRun {
 	}
 }
 
-// Stream is the online auditor. All methods are safe for concurrent use.
+// Stream is the auditor. All methods are safe for concurrent use.
 type Stream struct {
 	mu      sync.Mutex
 	opts    StreamOptions
@@ -243,17 +241,14 @@ type Stream struct {
 	lossyBelow uint64
 	intervals  []LossyInterval
 
-	fired map[string]bool // violations already handed to OnViolation
-	// confirmed violations surfaced so far (pinned entities re-derive theirs
-	// live; this holds only eviction-time emissions — currently none, kept
-	// for symmetry with Finalize's authoritative pass).
-	sinceSettle      int
+	fired            map[string]bool // violations already handed to OnViolation
+	sinceSettle      int             // records ingested since the last settlement sweep
 	settledEvictions int
 
 	finalized *Report
 }
 
-// NewStream returns an online auditor.
+// NewStream returns an auditor with no sources yet.
 func NewStream(opts StreamOptions) *Stream {
 	if opts.SettleHorizon == 0 {
 		opts.SettleHorizon = DefaultSettleHorizon
@@ -303,7 +298,8 @@ func (s *Stream) Ingest(source string, recs ...journal.Record) {
 	src.down = false
 	for _, r := range recs {
 		if r.Kind == journal.KindTailLoss {
-			s.noteLoss(src, r.Lamport, parseMissing(r.Detail))
+			missing, _ := strconv.ParseUint(detailField(r.Detail, "missing"), 10, 64)
+			s.noteLoss(src, r.Lamport, missing)
 			continue
 		}
 		src.records++
@@ -358,16 +354,6 @@ func (s *Stream) noteLoss(src *streamSource, upTo, missing uint64) {
 	}
 }
 
-func parseMissing(detail string) uint64 {
-	const p = "missing="
-	if i := strings.Index(detail, p); i >= 0 {
-		if n, err := strconv.ParseUint(detail[i+len(p):], 10, 64); err == nil {
-			return n
-		}
-	}
-	return 0
-}
-
 // process folds one record into the run state. Called with s.mu held.
 func (s *Stream) process(r journal.Record) {
 	rs := s.runFor(r.Run)
@@ -405,7 +391,7 @@ func (s *Stream) process(r journal.Record) {
 			return
 		}
 		p := rs.pub(k)
-		// Keep the earliest evidence: batch reports the first kind/site.
+		// Keep the earliest evidence: the report names the first kind/site.
 		if !p.hasEv || c.less(cursorOf(p.evidence)) {
 			p.evidence, p.hasEv = r, true
 		}
@@ -426,10 +412,7 @@ func (s *Stream) process(r journal.Record) {
 		}
 		if p.queued > 1 && !p.dupFlagged {
 			p.dupFlagged = true
-			s.fire(Violation{
-				Run: r.Run, Check: "delivery", Client: k.client, Ref: k.pub,
-				Detail: fmt.Sprintf("publication entered the application queue %d times", p.queued),
-			})
+			s.fire(duplicateDelivery(r.Run, k, p.queued))
 		}
 		return
 	case journal.KindSRTInsert, journal.KindSRTRemove, journal.KindPRTInsert, journal.KindPRTRemove:
@@ -446,9 +429,6 @@ func (s *Stream) process(r journal.Record) {
 					d = -1
 				}
 				nk := netKey{r.Site, table, baseID(r.Ref), r.Client}
-				if tx.net == nil {
-					tx.net = make(map[netKey]int)
-				}
 				if tx.net[nk] += d; tx.net[nk] == 0 {
 					delete(tx.net, nk)
 				}
@@ -472,9 +452,6 @@ func (s *Stream) process(r journal.Record) {
 		if tx.client == "" {
 			tx.client = r.Client
 		}
-		if tx.sites == nil {
-			tx.sites = make(map[string]bool)
-		}
 		tx.sites[r.Site] = true
 		if tx.first.zero() || c.less(tx.first) {
 			tx.first = c
@@ -482,9 +459,6 @@ func (s *Stream) process(r journal.Record) {
 		if tx.last.less(c) {
 			tx.last = c
 			tx.lastKind, tx.lastStamp = r.Kind, r.Lamport
-		}
-		if tx.firstKind == nil {
-			tx.firstKind = make(map[string]journal.Record)
 		}
 		if cur, ok := tx.firstKind[r.Kind]; !ok || c.less(cursorOf(cur)) {
 			tx.firstKind[r.Kind] = r
@@ -503,10 +477,7 @@ func (s *Stream) process(r journal.Record) {
 		}
 		if tx.committed && tx.aborted && !tx.doubleRes {
 			tx.doubleRes = true
-			s.fire(Violation{
-				Run: r.Run, Check: "phase-order", Tx: tx.id, Client: tx.client,
-				Detail: "transaction both committed and aborted",
-			})
+			s.fire(doubleResolution(r.Run, tx))
 		}
 	}
 }
@@ -523,15 +494,31 @@ func (rs *streamRun) pub(k pubKey) *pubState {
 func (rs *streamRun) tx(id string) *streamTx {
 	tx := rs.txs[id]
 	if tx == nil {
-		tx = &streamTx{id: id}
+		tx = &streamTx{
+			id:        id,
+			firstKind: make(map[string]journal.Record),
+			sites:     make(map[string]bool),
+			net:       make(map[netKey]int),
+		}
 		rs.txs[id] = tx
 	}
 	return tx
 }
 
-// crashed returns the set of sites with a journaled crash, and the subset
-// never restarted afterwards (by stream-cursor order, matching the batch
-// auditor's causal scan).
+// crashSets returns the sites with a journaled crash, and the subset never
+// restarted afterwards (by cursor order: a restart clears earlier crashes).
+//
+// A crash excuses the legal consequences the paper's failure model allows —
+// unresolved transactions whose coordinator died, routing state stranded at
+// the dead site, deliveries the dead container never completed — but never
+// the safety core: duplicate delivery and double resolution stay violations
+// no matter what crashed. A restart narrows the excuse: the replacement
+// broker recovered its routing state from its durable store, so its tables
+// must converge like any live site's — stillDown is what gates the
+// convergence inspection. Container-level consequences stay excused by
+// crashed alone: protocol state and hosted clients are not durable, so an
+// interrupted transaction may legally stay unresolved and a dead client
+// copy is never resurrected, restart or not.
 func (rs *streamRun) crashSets() (crashed, stillDown map[string]bool) {
 	crashed = make(map[string]bool, len(rs.crashAt))
 	stillDown = make(map[string]bool)
@@ -544,6 +531,8 @@ func (rs *streamRun) crashSets() (crashed, stillDown map[string]bool) {
 	return crashed, stillDown
 }
 
+func (tx *streamTx) resolved() bool { return tx.committed || tx.aborted }
+
 func (tx *streamTx) touches(sites map[string]bool) bool {
 	for s := range tx.sites {
 		if sites[s] {
@@ -553,15 +542,17 @@ func (tx *streamTx) touches(sites map[string]bool) bool {
 	return false
 }
 
-// fire hands a newly detected violation to OnViolation exactly once.
-func (s *Stream) fire(v Violation) {
-	key := v.String()
-	if s.fired[key] {
-		return
-	}
-	s.fired[key] = true
-	if s.opts.OnViolation != nil {
-		s.opts.OnViolation(v)
+// fire hands newly detected violations to OnViolation, each exactly once.
+func (s *Stream) fire(vs ...Violation) {
+	for _, v := range vs {
+		key := v.String()
+		if s.fired[key] {
+			continue
+		}
+		s.fired[key] = true
+		if s.opts.OnViolation != nil {
+			s.opts.OnViolation(v)
+		}
 	}
 }
 
@@ -596,6 +587,38 @@ func (s *Stream) advance() {
 	}
 }
 
+// ripe reports whether the merged watermark has moved the settle horizon
+// past an entity's last event, so every record that could still change its
+// verdict has been seen.
+func (s *Stream) ripe(last cursor) bool {
+	return s.watermark > last.lamport+s.opts.SettleHorizon
+}
+
+// txFindings returns the violations one transaction shows now. A verdict is
+// definitive at the end of the run (final) or once the transaction is ripe;
+// before that only the presence-based finding counts, because a record
+// still in flight could cure every absence-based one.
+func (s *Stream) txFindings(rs *streamRun, tx *streamTx, crashed map[string]bool, final bool) []Violation {
+	switch {
+	case final || s.ripe(tx.last):
+		return s.txViolations(rs, tx, crashed)
+	case tx.doubleRes:
+		return []Violation{doubleResolution(rs.run, tx)}
+	}
+	return nil
+}
+
+// pubFindings is txFindings for one publication.
+func (s *Stream) pubFindings(rs *streamRun, k pubKey, p *pubState, crashed map[string]bool, final bool) []Violation {
+	switch {
+	case final || s.ripe(p.last):
+		return s.pubViolations(rs, k, p, crashed)
+	case p.queued > 1:
+		return []Violation{duplicateDelivery(rs.run, k, p.queued)}
+	}
+	return nil
+}
+
 // settle evicts every entity whose horizon has passed and whose verdict is
 // clean; dirty entities stay pinned (their violations fire once here) so
 // Finalize can report them with full context. Called with s.mu held.
@@ -605,64 +628,54 @@ func (s *Stream) settle() {
 	for _, rs := range s.runs {
 		crashed, _ := rs.crashSets()
 		for id, tx := range rs.txs {
-			if !tx.hasProto || wm <= tx.last.lamport+h {
+			if !tx.hasProto || !s.ripe(tx.last) {
 				continue
 			}
-			crashTx := tx.touches(crashed)
-			vs := s.txViolations(rs, tx, crashed, crashTx)
-			if len(vs) > 0 {
-				for _, v := range vs {
-					s.fire(v)
-				}
-				continue // pinned until Finalize
+			vs := s.txViolations(rs, tx, crashed)
+			s.fire(vs...)
+			// Held until Finalize: a violating transaction, an unresolved one
+			// (crash-interrupted resolves there), and one whose prepared
+			// configuration is still live somewhere.
+			if len(vs) > 0 || !tx.resolved() || rs.cs.liveShadows(id) {
+				continue
 			}
-			if !tx.committed && !tx.aborted {
-				continue // unresolved: hold (crash-interrupted resolves at Finalize)
-			}
-			if rs.cs.liveShadows(id) {
-				continue // prepared configuration still live somewhere
-			}
-			// Clean and out of the horizon: settle.
 			rs.settledTx++
 			if tx.committed {
 				rs.settledCommit++
 			} else {
 				rs.settledAbort++
 			}
-			if crashTx {
+			if tx.touches(crashed) {
 				rs.crashedTxSettled[id] = true
 			}
-			rs.txTombs[id] = tombstone{at: wm}
+			rs.txTombs[id] = wm
 			rs.cs.dropTx(id, tx.client)
 			delete(rs.txs, id)
 			s.settledEvictions++
 		}
 		for k, p := range rs.pubs {
-			if wm <= p.last.lamport+h {
+			if !s.ripe(p.last) {
 				continue
 			}
-			if vs := s.pubViolations(rs, k, p, crashed); len(vs) > 0 {
-				for _, v := range vs {
-					s.fire(v)
-				}
+			vs := s.pubViolations(rs, k, p, crashed)
+			s.fire(vs...)
+			// Evidence without a queue entry is held for the record or the
+			// crash excuse.
+			if len(vs) > 0 || p.queued == 0 {
 				continue
 			}
-			if p.queued == 0 {
-				continue // evidence without a queue entry: hold for the record or the crash excuse
-			}
-			rs.settledPubs++
-			rs.pubTombs[k] = tombstone{at: wm}
+			rs.pubTombs[k] = wm
 			delete(rs.pubs, k)
 			s.settledEvictions++
 		}
 		// Sweep expired tombstones: stragglers this old no longer arrive.
-		for id, t := range rs.txTombs {
-			if wm > t.at+h {
+		for id, at := range rs.txTombs {
+			if wm > at+h {
 				delete(rs.txTombs, id)
 			}
 		}
-		for k, t := range rs.pubTombs {
-			if wm > t.at+h {
+		for k, at := range rs.pubTombs {
+			if wm > at+h {
 				delete(rs.pubTombs, k)
 			}
 		}
@@ -675,68 +688,82 @@ func (s *Stream) suppressed(first uint64) bool {
 	return s.lossyBelow > 0 && first <= s.lossyBelow
 }
 
-// txViolations derives the current phase-order and atomicity violations of
-// one transaction, mirroring checkPhaseOrder/checkAtomicity. Callers gate
-// on the watermark horizon before evaluating, so absence-based findings
-// are as definitive as they get short of Finalize. Loss suppression
-// degrades absence-based findings for entities overlapping a lossy
-// interval.
-func (s *Stream) txViolations(rs *streamRun, tx *streamTx, crashed map[string]bool, crashTx bool) []Violation {
+// doubleResolution is the presence-based phase-order finding, reported the
+// moment the second outcome is ingested.
+func doubleResolution(run int64, tx *streamTx) Violation {
+	return Violation{Run: run, Check: "phase-order", Tx: tx.id, Client: tx.client,
+		Detail: "transaction both committed and aborted"}
+}
+
+// duplicateDelivery is the presence-based delivery finding.
+func duplicateDelivery(run int64, k pubKey, n int) Violation {
+	return Violation{Run: run, Check: "delivery", Client: k.client, Ref: k.pub,
+		Detail: fmt.Sprintf("publication entered the application queue %d times", n)}
+}
+
+// txViolations derives one transaction's phase-order (b), atomicity (d) and
+// replication (e) violations. Loss suppression degrades the absence-based
+// findings of a transaction overlapping a lossy interval.
+//
+// Phase order: the steps obey the 3PC conversation's order (first
+// occurrences compared by cursor), resolve to exactly one outcome, and —
+// under the blocking engine — never time out. A crashed coordinator excuses
+// a missing resolution (it cannot resolve) but nothing else: double
+// resolution and out-of-order steps are violations even across a crash.
+//
+// Atomicity, for an aborted transaction: every routing mutation it
+// performed on the moving client's records is undone — per site, table and
+// base identifier the tagged inserts and removes cancel out — and the client
+// returns to the started state. State stranded at a crashed site is excused
+// (it died with the container), and a crash-interrupted transaction skips
+// the rollback check entirely: cleanup propagation is coordinated by the
+// source, so a dead coordinator legally strands tagged entries at live
+// sites too. The abort cause (rejection, abort message or timeout) is
+// recorded at the source coordinator before it resumes the client, on the
+// same site clock, so a "->started" transition with a later stamp at that
+// site proves the resume — unless that site crashed.
+func (s *Stream) txViolations(rs *streamRun, tx *streamTx, crashed map[string]bool) []Violation {
 	var out []Violation
 	addPhase := func(detail string) {
 		out = append(out, Violation{Run: rs.run, Check: "phase-order", Tx: tx.id, Client: tx.client, Detail: detail})
 	}
+	crashTx := tx.touches(crashed)
 	lossHidden := s.suppressed(tx.first.lamport)
-	blocking := strings.Contains(rs.config, "timeout=0s")
+	has := func(kind string) bool { _, ok := tx.firstKind[kind]; return ok }
 
-	if tx.committed && tx.aborted {
-		addPhase("transaction both committed and aborted")
+	if tx.doubleRes {
+		out = append(out, doubleResolution(rs.run, tx))
 	}
-	if !tx.committed && !tx.aborted && !crashTx && !lossHidden {
+	if !tx.resolved() && !crashTx && !lossHidden {
 		addPhase("transaction never resolved (no committed or aborted step)")
 	}
-	first := func(kind string) (journal.Record, bool) {
-		r, ok := tx.firstKind[kind]
-		return r, ok
-	}
 	for _, pair := range phasePrecedence {
-		a, okA := first(pair[0])
-		b, okB := first(pair[1])
-		if !okA || !okB {
-			continue
-		}
-		if cursorOf(b).less(cursorOf(a)) {
+		a, okA := tx.firstKind[pair[0]]
+		b, okB := tx.firstKind[pair[1]]
+		if okA && okB && cursorOf(b).less(cursorOf(a)) {
 			addPhase(fmt.Sprintf("%s observed before %s (lamport %d vs %d)",
 				pair[1], pair[0], b.Lamport, a.Lamport))
 		}
 	}
-	if tx.committed && !lossHidden {
-		if _, ok := first("ack-received"); !ok {
-			addPhase("committed without receiving acknowledgement (message 5)")
-		}
+	if tx.committed && !lossHidden && !has("ack-received") {
+		addPhase("committed without receiving acknowledgement (message 5)")
 	}
-	if tx.aborted && !tx.committed && !lossHidden {
-		_, r1 := first("reject-received")
-		_, r2 := first("abort-received")
-		_, r3 := first("source-timeout")
-		_, r4 := first("abort-sent")
-		if !r1 && !r2 && !r3 && !r4 {
-			addPhase("aborted without a rejection, abort, or timeout cause")
-		}
+	if tx.aborted && !tx.committed && !lossHidden &&
+		!has("reject-received") && !has("abort-received") && !has("source-timeout") && !has("abort-sent") {
+		addPhase("aborted without a rejection, abort, or timeout cause")
 	}
-	if blocking {
+	if strings.Contains(rs.config, "timeout=0s") { // the blocking engine
 		for _, k := range []string{"source-timeout", "target-timeout"} {
-			if _, ok := first(k); ok {
+			if has(k) {
 				addPhase("blocking engine recorded a " + k)
 			}
 		}
 	}
 
-	// Atomicity: only aborted transactions must roll back.
-	if tx.aborted && !tx.committed {
-		if !crashTx && !lossHidden {
+	if tx.aborted && !tx.committed && !lossHidden {
+		if !crashTx {
 			for k, n := range tx.net {
-				if n == 0 || crashed[k.site] || k.client != tx.client {
+				if crashed[k.site] || k.client != tx.client {
 					continue
 				}
 				verb := "left behind"
@@ -750,32 +777,32 @@ func (s *Stream) txViolations(rs *streamRun, tx *streamTx, crashed map[string]bo
 				})
 			}
 		}
-		if tx.hasCause && !crashed[tx.cause.Site] && !lossHidden {
-			if rs.started[siteKey{tx.client, tx.cause.Site}] <= tx.cause.Lamport {
-				out = append(out, Violation{
-					Run: rs.run, Check: "atomicity", Tx: tx.id, Client: tx.client,
-					Detail: "client did not return to the started state after the abort",
-				})
-			}
+		if tx.hasCause && !crashed[tx.cause.Site] &&
+			rs.started[siteKey{tx.client, tx.cause.Site}] <= tx.cause.Lamport {
+			out = append(out, Violation{
+				Run: rs.run, Check: "atomicity", Tx: tx.id, Client: tx.client,
+				Detail: "client did not return to the started state after the abort",
+			})
 		}
 	}
 
 	// Replication safety is presence-based — every finding compares records
-	// that exist — so neither journal loss nor a crash excuses it. The shared
-	// derivation keeps the stream's findings identical to checkReplication's.
-	out = append(out, replicationViolations(rs.run, tx.id, tx.client, tx.takeovers, tx.committed, tx.aborted)...)
-	return out
+	// that exist — so neither journal loss nor a crash excuses it.
+	return append(out, replicationViolations(rs.run, tx.id, tx.client, tx.takeovers, tx.committed, tx.aborted)...)
 }
 
-// pubViolations derives the delivery violations of one publication,
-// mirroring checkDelivery.
+// pubViolations derives property (a) for one publication: evidenced as
+// reaching a subscriber's stub (a broker-level deliver, a transfer buffer or
+// a target shell buffer), it enters that subscriber's application queue
+// exactly once — no duplicates across the movement's dual-configuration
+// window, no losses across the state transfer. A publication whose first
+// evidence is at a crashed site is excused: the container died with the
+// message in hand, which is loss the crash-stop model permits. Duplicates
+// are never excused.
 func (s *Stream) pubViolations(rs *streamRun, k pubKey, p *pubState, crashed map[string]bool) []Violation {
 	var out []Violation
 	if p.queued > 1 {
-		out = append(out, Violation{
-			Run: rs.run, Check: "delivery", Client: k.client, Ref: k.pub,
-			Detail: fmt.Sprintf("publication entered the application queue %d times", p.queued),
-		})
+		out = append(out, duplicateDelivery(rs.run, k, p.queued))
 	}
 	if p.hasEv && p.queued == 0 && !crashed[p.evidence.Site] && !s.suppressed(p.last.lamport) {
 		out = append(out, Violation{
@@ -800,17 +827,14 @@ func (s *Stream) Status() StreamStatus {
 		Intervals:  append([]LossyInterval(nil), s.intervals...),
 		Settled:    s.settledEvictions,
 	}
-	for _, name := range sortedSourceNames(s.sources) {
-		src := s.sources[name]
+	for _, src := range s.sources {
 		st.Sources = append(st.Sources, SourceStatus{
 			Name: src.name, Watermark: src.watermark, Records: src.records,
 			Dropped: src.dropped, Down: src.down,
 		})
 	}
+	sort.Slice(st.Sources, func(i, j int) bool { return st.Sources[i].Name < st.Sources[j].Name })
 
-	counts := make(map[string]int)
-	h := s.opts.SettleHorizon
-	var inflight []InFlightTx
 	for _, runID := range s.runIDs {
 		rs := s.runs[runID]
 		crashed, stillDown := rs.crashSets()
@@ -822,69 +846,38 @@ func (s *Stream) Status() StreamStatus {
 				continue
 			}
 			st.InFlightTxs++
-			if !tx.committed && !tx.aborted {
+			if !tx.resolved() {
 				anyUnresolved = true
-				inflight = append(inflight, InFlightTx{
+				st.InFlight = append(st.InFlight, InFlightTx{
 					Tx: tx.id, Client: tx.client, Phase: tx.lastKind, Lamport: tx.lastStamp,
 				})
 			}
-			if s.watermark <= tx.last.lamport+h {
-				// Inside the horizon: only presence-based findings count.
-				if tx.doubleRes {
-					counts["phase-order"]++
-					st.Violations = append(st.Violations, Violation{
-						Run: rs.run, Check: "phase-order", Tx: tx.id, Client: tx.client,
-						Detail: "transaction both committed and aborted",
-					})
-				}
-				continue
-			}
-			crashTx := tx.touches(crashed)
-			for _, v := range s.txViolations(rs, tx, crashed, crashTx) {
-				counts[v.Check]++
-				st.Violations = append(st.Violations, v)
-			}
+			st.Violations = append(st.Violations, s.txFindings(rs, tx, crashed, false)...)
 		}
 		for k, p := range rs.pubs {
-			if s.watermark <= p.last.lamport+h {
-				if p.queued > 1 {
-					counts["delivery"]++
-					st.Violations = append(st.Violations, Violation{
-						Run: rs.run, Check: "delivery", Client: k.client, Ref: k.pub,
-						Detail: fmt.Sprintf("publication entered the application queue %d times", p.queued),
-					})
-				}
-				continue
-			}
-			for _, v := range s.pubViolations(rs, k, p, crashed) {
-				counts[v.Check]++
-				st.Violations = append(st.Violations, v)
-			}
+			st.Violations = append(st.Violations, s.pubFindings(rs, k, p, crashed, false)...)
 		}
 		// Convergence is a quiescent property: inspect only once every
-		// transaction resolved and the tables stopped moving.
-		if !anyUnresolved && s.watermark > rs.cs.lastMut.lamport+h {
-			if s.lossyBelow > 0 {
-				// absence-based: LOSSY, not violated
-			} else {
-				crashedTx := s.crashedTxSet(rs, crashed)
-				for _, v := range rs.cs.violations(rs.run, crashed, stillDown, crashedTx) {
-					counts["convergence"]++
-					st.Violations = append(st.Violations, v)
-				}
-			}
+		// transaction resolved and the tables stopped moving. It is
+		// absence-based, so under loss it reads LOSSY, not violated.
+		if !anyUnresolved && s.ripe(rs.cs.lastMut) && s.lossyBelow == 0 {
+			st.Violations = append(st.Violations,
+				rs.cs.violations(rs.run, crashed, stillDown, s.crashedTxSet(rs, crashed))...)
 		}
 	}
-	sort.Slice(inflight, func(i, j int) bool { return inflight[i].Lamport > inflight[j].Lamport })
-	if len(inflight) > 16 {
-		inflight = inflight[:16]
+	sort.Slice(st.InFlight, func(i, j int) bool { return st.InFlight[i].Lamport > st.InFlight[j].Lamport })
+	if len(st.InFlight) > 16 {
+		st.InFlight = st.InFlight[:16]
 	}
-	st.InFlight = inflight
+
+	counts := make(map[string]int)
+	for _, v := range st.Violations {
+		counts[v.Check]++
+	}
 	sortViolations(st.Violations)
 	if len(st.Violations) > 64 {
 		st.Violations = st.Violations[:64]
 	}
-
 	for _, check := range StreamChecks {
 		v := CheckVerdict{Check: check, Status: StatusClean, Violations: counts[check]}
 		switch {
@@ -899,7 +892,8 @@ func (s *Stream) Status() StreamStatus {
 }
 
 // crashedTxSet merges the in-flight and settled transactions that touched
-// a crashed site. Called with s.mu held.
+// a crashed site: their shadows and unresolved outcomes are crash
+// consequences, not protocol bugs. Called with s.mu held.
 func (s *Stream) crashedTxSet(rs *streamRun, crashed map[string]bool) map[string]bool {
 	out := make(map[string]bool, len(rs.crashedTxSettled))
 	for id := range rs.crashedTxSettled {
@@ -913,11 +907,11 @@ func (s *Stream) crashedTxSet(rs *streamRun, crashed map[string]bool) map[string
 	return out
 }
 
-// Finalize runs the end-of-run checks over everything still in flight and
-// returns a batch-compatible Report. On a loss-free stream fed every
-// record, the verdict and violation multiset equal batch Audit's. Further
-// Ingest calls after Finalize are accepted but the returned report is
-// computed once.
+// Finalize evaluates everything still in flight as of the end of the run
+// and returns the Report; fed every record of a loss-free journal, it does
+// not depend on how the records were split across sources or interleaved.
+// Further Ingest calls after Finalize are accepted but the returned report
+// is computed once.
 func (s *Stream) Finalize() *Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -927,7 +921,10 @@ func (s *Stream) Finalize() *Report {
 	rep := &Report{Records: s.records}
 	for _, runID := range s.runIDs {
 		rs := s.runs[runID]
-		rr := RunReport{Run: rs.run, Config: rs.config, Records: rs.records}
+		rr := RunReport{
+			Run: rs.run, Config: rs.config, Records: rs.records, Delivered: rs.delivered,
+			Txs: rs.settledTx, Committed: rs.settledCommit, Aborted: rs.settledAbort,
+		}
 		crashed, stillDown := rs.crashSets()
 		for site := range crashed {
 			rr.CrashedSites = append(rr.CrashedSites, site)
@@ -939,9 +936,6 @@ func (s *Stream) Finalize() *Report {
 		sort.Strings(rr.RestartedSites)
 
 		crashedTx := s.crashedTxSet(rs, crashed)
-		rr.Txs = rs.settledTx
-		rr.Committed = rs.settledCommit
-		rr.Aborted = rs.settledAbort
 		for _, tx := range rs.txs {
 			if !tx.hasProto {
 				continue
@@ -957,39 +951,18 @@ func (s *Stream) Finalize() *Report {
 			default:
 				rr.Unresolved++
 			}
-			vs := s.txViolations(rs, tx, crashed, crashedTx[tx.id])
-			for _, v := range vs {
-				s.fire(v)
-			}
-			rr.Violations = append(rr.Violations, vs...)
+			rr.Violations = append(rr.Violations, s.txFindings(rs, tx, crashed, true)...)
 		}
-		rr.Delivered = rs.delivered
 		for k, p := range rs.pubs {
-			vs := s.pubViolations(rs, k, p, crashed)
-			for _, v := range vs {
-				s.fire(v)
-			}
-			rr.Violations = append(rr.Violations, vs...)
+			rr.Violations = append(rr.Violations, s.pubFindings(rs, k, p, crashed, true)...)
 		}
 		if s.lossyBelow == 0 {
-			vs := rs.cs.violations(rs.run, crashed, stillDown, crashedTx)
-			for _, v := range vs {
-				s.fire(v)
-			}
-			rr.Violations = append(rr.Violations, vs...)
+			rr.Violations = append(rr.Violations, rs.cs.violations(rs.run, crashed, stillDown, crashedTx)...)
 		}
 		sortViolations(rr.Violations)
+		s.fire(rr.Violations...)
 		rep.Runs = append(rep.Runs, rr)
 	}
 	s.finalized = rep
 	return rep
-}
-
-func sortedSourceNames(m map[string]*streamSource) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -18,8 +18,9 @@ func checkStatusOf(st StreamStatus, check string) CheckVerdict {
 	return CheckVerdict{}
 }
 
-// reportsEqual compares a batch report against a stream Finalize report.
-func reportsEqual(batch, stream *Report) string { return DiffReports(batch, stream) }
+// reportsEqual compares Audit's in-order replay against a stream fed some
+// other way (incrementally, or split across sources).
+func reportsEqual(inOrder, stream *Report) string { return DiffReports(inOrder, stream) }
 
 // TestStreamDuplicateReportedImmediately: the acceptance property — an
 // injected duplicate delivery is flagged during ingest, before any
@@ -51,10 +52,10 @@ func TestStreamDuplicateReportedImmediately(t *testing.T) {
 		t.Fatalf("delivery check not VIOLATED immediately: %+v", got)
 	}
 
-	// Finalize must agree with batch on the same records.
+	// Finalize must agree with the one-pass replay of the same records.
 	all := append(recs, dup)
 	if diff := reportsEqual(Audit(append([]journal.Record(nil), all...)), s.Finalize()); diff != "" {
-		t.Fatalf("stream diverged from batch: %s", diff)
+		t.Fatalf("stream diverged from the in-order replay: %s", diff)
 	}
 }
 
@@ -158,10 +159,10 @@ func TestStreamTailLossRecord(t *testing.T) {
 	}
 }
 
-// TestStreamPhaseChecksMatchBatch: synthetic protocol histories — clean,
-// inverted, unresolved, double-resolved — produce the same verdicts as
-// batch when fed out of order across two sources.
-func TestStreamPhaseChecksMatchBatch(t *testing.T) {
+// TestStreamPhaseChecksMatchInOrder: synthetic protocol histories — clean,
+// inverted, unresolved, double-resolved — produce the same verdicts as the
+// in-order replay when fed out of order across two sources.
+func TestStreamPhaseChecksMatchInOrder(t *testing.T) {
 	base := []journal.Record{cfg("protocol=reconfig covering=false timeout=0s")}
 	clean := protoSteps("x1", "c1", 10)
 	inverted := protoSteps("x2", "c2", 40)
@@ -174,16 +175,8 @@ func TestStreamPhaseChecksMatchBatch(t *testing.T) {
 	s := NewStream(StreamOptions{})
 	// Feed the two coordinator sites as separate sources, preserving
 	// per-site order (as per-broker tails would).
-	for _, site := range []string{"journal", "b1", "b3"} {
-		var chunk []journal.Record
-		for _, r := range all {
-			if r.Site == site {
-				chunk = append(chunk, r)
-			}
-		}
-		s.Ingest(site, chunk...)
-	}
+	feedBySite(s, all, "journal", "b1", "b3")
 	if diff := reportsEqual(Audit(append([]journal.Record(nil), all...)), s.Finalize()); diff != "" {
-		t.Fatalf("stream diverged from batch: %s", diff)
+		t.Fatalf("stream diverged from the in-order replay: %s", diff)
 	}
 }

@@ -78,10 +78,6 @@ func (b *Broker) ReplicationEnabled() bool { return b.repl != nil }
 // ReplicationMetrics returns the agent's instruments, or nil without one.
 func (b *Broker) ReplicationMetrics() *telemetry.ReplicationMetrics { return b.replTel }
 
-// ReplicationAgent exposes the agent for tests and harnesses (nil without
-// replication).
-func (b *Broker) ReplicationAgent() *replication.Agent { return b.repl }
-
 // ReplicationPeers returns every broker a decision record for the
 // transaction can live at — the preference list (coordinator first) plus
 // the hinted-handoff fallback set — or nil when replication is off.
@@ -130,15 +126,6 @@ func (b *Broker) ReplicationRelease(hdr message.MoveHeader) {
 	if b.repl != nil {
 		b.repl.Release(hdr)
 	}
-}
-
-// ReplicationFence returns the fenced coordinator generation for the
-// transaction at this broker (0 = unfenced or replication off).
-func (b *Broker) ReplicationFence(tx message.TxID) uint64 {
-	if b.repl == nil {
-		return 0
-	}
-	return b.repl.FenceGen(tx)
 }
 
 // ReplicationOnQuery offers a recovery query addressed to this broker as a

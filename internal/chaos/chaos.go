@@ -119,7 +119,7 @@ type Options struct {
 	// DisableLiveAudit turns off the streaming auditor that otherwise rides
 	// every soak on a journal tap, verifying the invariants while the run
 	// is still going and diffing its final verdict against the offline
-	// batch audit.
+	// replay of the whole journal (audit.Audit).
 	DisableLiveAudit bool
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -258,20 +258,24 @@ type Result struct {
 	LiveReport *audit.Report
 	// LiveDropped counts tap records the live auditor missed because its
 	// buffer overflowed; non-zero degrades the live verdict to LOSSY and
-	// suppresses the batch/live differential.
+	// suppresses the offline/live differential.
 	LiveDropped uint64
-	// LiveDivergence describes the first disagreement between the batch
+	// LiveDivergence describes the first disagreement between the offline
 	// report and the live report. It is only computed when neither the ring
-	// nor the tap lost records — the two auditors then saw identical
-	// evidence and must agree exactly. Empty means agreement (or that the
-	// comparison was skipped because of loss).
+	// nor the tap lost records — the two feeds then carried identical
+	// evidence and must finalize to the same report. Empty means agreement
+	// (or that the comparison was skipped because of loss).
 	LiveDivergence string
+
+	// exposition is the observatory snapshot's /metrics text, kept so the
+	// tests can assert which families a soak actually exports.
+	exposition string
 }
 
 // Clean reports whether the audit found no violations, every movement
 // resolved without an unexpected error, no latency instrument went dead
 // during the soak, and — when the live auditor ran — its verdict matches
-// the batch auditor's.
+// the offline replay's.
 func (r *Result) Clean() bool {
 	return r.MoveErrors == 0 && len(r.DeadInstruments) == 0 &&
 		r.Report != nil && r.Report.Clean() &&
@@ -320,7 +324,7 @@ func (r *Result) Summary() string {
 		fmt.Fprintf(&sb, "  dead instrument: %s\n", d)
 	}
 	if r.LiveReport != nil {
-		live := "agrees with batch"
+		live := "agrees with the offline replay"
 		switch {
 		case r.LiveDivergence != "":
 			live = "DIVERGED: " + r.LiveDivergence
@@ -350,7 +354,8 @@ func Run(opts Options) (*Result, error) {
 	// record the cluster journals is also streamed into an audit.Stream,
 	// which verifies delivery, phase order, convergence, and atomicity
 	// incrementally while the chaos schedule is still injecting faults. At
-	// soak end its Finalize is diffed against the offline batch audit.
+	// soak end its Finalize is diffed against the offline replay: the same
+	// checks, fed record by record with evictions versus in one causal pass.
 	var liveStream *audit.Stream
 	var liveTap *journal.Tap
 	liveDone := make(chan struct{})
@@ -570,7 +575,7 @@ func Run(opts Options) (*Result, error) {
 					restartWG.Add(1)
 					clk.AfterFunc(opts.RestartAfter, func() {
 						defer restartWG.Done()
-						if err := in.Restart(id, nil); err != nil {
+						if err := in.Restart(id); err != nil {
 							opts.Logf("restart %s failed: %v", id, err)
 							return
 						}
@@ -735,12 +740,14 @@ func Run(opts Options) (*Result, error) {
 		if b := c.Broker(id); b != nil {
 			telReg.RegisterBroker(id, b.Metrics())
 			telReg.RegisterStore(id, b.StoreMetrics())
+			telReg.RegisterReplication(id, b.ReplicationMetrics())
 		}
 	}
 	telReg.RegisterTransport(tel)
 	var expo strings.Builder
 	telReg.WritePrometheus(&expo)
-	if e, err := mon.Parse(strings.NewReader(expo.String())); err != nil {
+	res.exposition = expo.String()
+	if e, err := mon.Parse(strings.NewReader(res.exposition)); err != nil {
 		res.DeadInstruments = []string{fmt.Sprintf("soak exposition unparseable: %v", err)}
 	} else {
 		res.DeadInstruments = mon.DeadInstruments(e)

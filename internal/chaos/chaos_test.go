@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"padres/internal/mon"
 )
 
 // TestSoakShort runs a reduced seeded soak — lossy reliable links,
@@ -40,7 +43,7 @@ func TestSoakShort(t *testing.T) {
 	}
 	// The live auditor ran alongside the soak: it must have produced a
 	// report, lost nothing off its tap, and — on a lossless run — agreed
-	// with the offline batch auditor exactly.
+	// with the offline replay exactly.
 	if res.LiveReport == nil {
 		t.Fatal("live auditor produced no report")
 	}
@@ -48,7 +51,7 @@ func TestSoakShort(t *testing.T) {
 		t.Errorf("live audit tap dropped %d records", res.LiveDropped)
 	}
 	if res.LiveDivergence != "" {
-		t.Errorf("live audit diverged from batch: %s", res.LiveDivergence)
+		t.Errorf("live audit diverged from the offline replay: %s", res.LiveDivergence)
 	}
 	if !res.LiveReport.Clean() {
 		t.Errorf("live audit not clean: %v", res.LiveReport.Violations())
@@ -112,7 +115,7 @@ func TestSoakRestartShort(t *testing.T) {
 		t.Errorf("live audit under crash+restart not clean: %+v", res.LiveReport)
 	}
 	if res.LiveDivergence != "" {
-		t.Errorf("live audit diverged from batch: %s", res.LiveDivergence)
+		t.Errorf("live audit diverged from the offline replay: %s", res.LiveDivergence)
 	}
 	// Restarted sites must be inspected, not excused: the audit report
 	// records them per run.
@@ -180,9 +183,20 @@ func TestSoakKillCoordinator(t *testing.T) {
 	if res.MaxKillResolve >= bound {
 		t.Errorf("slowest kill resolution %v, want < %v", res.MaxKillResolve, bound)
 	}
-	// Lossless run: batch and live auditors must agree.
+	// Lossless run: the offline and live feeds must agree.
 	if res.JournalDropped == 0 && res.LiveDivergence != "" {
-		t.Errorf("live audit diverged from batch: %s", res.LiveDivergence)
+		t.Errorf("live audit diverged from the offline replay: %s", res.LiveDivergence)
+	}
+	// The replication instruments must reach the exposition: the takeovers
+	// counted above were also counted by some standby's own metrics.
+	expo, err := mon.Parse(strings.NewReader(res.exposition))
+	if err != nil {
+		t.Fatalf("soak exposition unparseable: %v", err)
+	}
+	for _, family := range []string{"padres_replication_takeovers_total", "padres_replication_replicated_total"} {
+		if n, ok := expo.SumValues(family, nil); !ok || n == 0 {
+			t.Errorf("%s: exported=%v sum=%v, want a non-zero series", family, ok, n)
+		}
 	}
 }
 

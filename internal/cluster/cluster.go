@@ -299,29 +299,20 @@ func (c *Cluster) SetEventSink(sink core.EventSink) {
 	}
 }
 
-// RestartBroker replaces a broker with a fresh instance, optionally
-// restored from a previously exported state snapshot (the durability model
-// of Sec. 3.5: a crashed broker recovers its persisted algorithmic state).
-// With Options.DataDir set the replacement instead recovers from its own
-// durable store — snapshot plus write-ahead log replay, with in-doubt
-// movement transactions resolved by the recovery query protocol — and st
-// must be nil. The replacement reuses the overlay links; clients that were
-// hosted in the old broker's container share its crash fate, per the
-// paper's failure model, and are not resurrected.
-func (c *Cluster) RestartBroker(id message.BrokerID, st *broker.State) error {
+// RestartBroker replaces a broker with a fresh instance. With
+// Options.DataDir set the replacement recovers its persisted algorithmic
+// state (the durability model of Sec. 3.5) from its own durable store —
+// snapshot plus write-ahead log replay, with in-doubt movement transactions
+// resolved by the recovery query protocol; without one it starts empty. The
+// replacement reuses the overlay links; clients that were hosted in the old
+// broker's container share its crash fate, per the paper's failure model,
+// and are not resurrected.
+func (c *Cluster) RestartBroker(id message.BrokerID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old, ok := c.brokers[id]
 	if !ok {
 		return fmt.Errorf("unknown broker %s", id)
-	}
-	if st != nil && st.ID != id {
-		// Validate before tearing anything down: a foreign snapshot must
-		// not leave the broker stopped.
-		return fmt.Errorf("snapshot belongs to broker %s, not %s", st.ID, id)
-	}
-	if st != nil && c.opts.DataDir != "" {
-		return fmt.Errorf("broker %s has a durable store; restart recovers from disk, not a snapshot", id)
 	}
 	old.Stop()
 	c.containers[id].Shutdown()
@@ -329,11 +320,6 @@ func (c *Cluster) RestartBroker(id message.BrokerID, st *broker.State) error {
 	nb, err := c.newBroker(id)
 	if err != nil {
 		return err
-	}
-	if st != nil {
-		if err := nb.RestoreState(st); err != nil {
-			return err
-		}
 	}
 	c.brokers[id] = nb
 	c.containers[id] = core.NewContainer(core.Config{

@@ -42,7 +42,7 @@ func (c *Cluster) CheckRoutingConsistency() error {
 					if !subFilter.Intersects(advFilter) {
 						continue
 					}
-					if err := c.checkDeliveryPath(
+					if err := c.verifyDeliveryPath(
 						pub.broker, pub.client.ID(), string(advID),
 						sub.broker, sub.client.ID(), string(subID),
 					); err != nil {
@@ -55,9 +55,9 @@ func (c *Cluster) CheckRoutingConsistency() error {
 	return nil
 }
 
-// checkDeliveryPath verifies the SRT/PRT entries along the publisher ->
+// verifyDeliveryPath verifies the SRT/PRT entries along the publisher ->
 // subscriber path for one (advertisement, subscription) pair.
-func (c *Cluster) checkDeliveryPath(pubBroker message.BrokerID, pubClient message.ClientID, advID string,
+func (c *Cluster) verifyDeliveryPath(pubBroker message.BrokerID, pubClient message.ClientID, advID string,
 	subBroker message.BrokerID, subClient message.ClientID, subID string) error {
 
 	path, err := c.top.Path(pubBroker, subBroker)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"padres/internal/broker"
 	"padres/internal/message"
 )
 
@@ -14,17 +13,6 @@ import (
 // AdmitAll accepts every client (equivalent to a nil policy).
 func AdmitAll() AdmissionFunc {
 	return func(message.MoveNegotiate) error { return nil }
-}
-
-// QueueLengthAdmission rejects incoming clients while the broker's inbox
-// exceeds maxQueue messages — the "broker is overloaded" rejection.
-func QueueLengthAdmission(b *broker.Broker, maxQueue int) AdmissionFunc {
-	return func(m message.MoveNegotiate) error {
-		if q := b.QueueLen(); q > maxQueue {
-			return fmt.Errorf("broker %s overloaded: queue length %d > %d", b.ID(), q, maxQueue)
-		}
-		return nil
-	}
 }
 
 // DenyClients rejects the listed clients — the "client is not authorized"

@@ -23,17 +23,6 @@ func PhaseSink(rec *telemetry.SpanRecorder) EventSink {
 	}
 }
 
-// CombineSinks fans one event out to several sinks, skipping nils.
-func CombineSinks(sinks ...EventSink) EventSink {
-	return func(e Event) {
-		for _, s := range sinks {
-			if s != nil {
-				s(e)
-			}
-		}
-	}
-}
-
 // installStateObserver wires a hosted client's Fig. 4 state machine into
 // the container's event stream as EventClientState events. The observer
 // runs under the client stub's lock, which is why emit must not take

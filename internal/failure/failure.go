@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"padres/internal/broker"
 	"padres/internal/cluster"
 	"padres/internal/journal"
 	"padres/internal/message"
@@ -217,13 +216,13 @@ func (in *Injector) Chaos(opts ChaosOptions) error {
 	return nil
 }
 
-// Restart replaces a crashed (or running) broker with a fresh instance
-// restored from the snapshot, modelling the paper's recovery of persisted
-// algorithmic state. A nil snapshot restarts the broker empty, which
-// deliberately loses routing state — useful to demonstrate why persistence
-// is part of the fault-tolerance model.
-func (in *Injector) Restart(id message.BrokerID, st *broker.State) error {
-	if err := in.c.RestartBroker(id, st); err != nil {
+// Restart replaces a crashed (or running) broker with a fresh instance. On
+// a cluster with Options.DataDir it recovers from its own durable store,
+// modelling the paper's recovery of persisted algorithmic state; otherwise
+// it restarts empty, which deliberately loses routing state — useful to
+// demonstrate why persistence is part of the fault-tolerance model.
+func (in *Injector) Restart(id message.BrokerID) error {
+	if err := in.c.RestartBroker(id); err != nil {
 		return err
 	}
 	in.mu.Lock()

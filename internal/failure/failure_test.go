@@ -285,60 +285,6 @@ func TestChaosMovementsSurvive(t *testing.T) {
 	}
 }
 
-// TestCrashRestartWithPersistedState reproduces the durability model of
-// Sec. 3.5: a broker crashes and is replaced by an instance restored from
-// its persisted algorithmic state; routing resumes with no manual repair.
-func TestCrashRestartWithPersistedState(t *testing.T) {
-	c := build(t, cluster.Options{})
-	in := New(c)
-	pub, err := c.NewClient("pub", "b1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pub.Advertise(predicate.MustParse("[x,>,0]")); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := c.NewClient("sub", "b13")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sub.Subscribe(predicate.MustParse("[x,>,0]")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SettleFor(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Persist" the backbone broker's state, then crash and restore it.
-	snapshot := c.Broker("b8").ExportState()
-	if err := in.Crash("b8"); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Restart("b8", snapshot); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SettleFor(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	id, err := pub.Publish(predicate.Event{"x": predicate.Number(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SettleFor(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	delivered := false
-	for _, got := range sub.ReceivedIDs() {
-		if got == id {
-			delivered = true
-		}
-	}
-	if !delivered {
-		t.Fatal("notification lost across crash+restore")
-	}
-}
-
 // TestCrashRestartWithoutStateLosesRouting is the negative control: a
 // replacement broker restarted empty has no routing state, so existing
 // subscriptions silently stop receiving — exactly why the paper's fault
@@ -367,7 +313,7 @@ func TestCrashRestartWithoutStateLosesRouting(t *testing.T) {
 	if err := in.Crash("b8"); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Restart("b8", nil); err != nil {
+	if err := in.Restart("b8"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SettleFor(10 * time.Second); err != nil {

@@ -48,7 +48,7 @@ func TestStandbyTakeoverFinishesDecidedMove(t *testing.T) {
 		// standby leases below are much shorter, so the takeover path — not
 		// the source's query fan-out — must resolve the move.
 		MoveTimeout: 3 * time.Second,
-		Journal: j,
+		Journal:     j,
 		Replication: &replication.Config{
 			Enabled: true,
 			// Full-write quorum pins the strict pre-ack replication round:

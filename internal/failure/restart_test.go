@@ -79,7 +79,7 @@ func runRestartCase(t *testing.T, phase core.EventKind) {
 			t.Errorf("crash %s: %v", victim, err)
 			return
 		}
-		if err := in.Restart(victim, nil); err != nil {
+		if err := in.Restart(victim); err != nil {
 			t.Errorf("restart %s: %v", victim, err)
 		}
 	}()
@@ -212,7 +212,7 @@ func TestRecoveryCompletesDecidedMove(t *testing.T) {
 	if err := in.Heal(victim, neighbor); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Restart(victim, nil); err != nil {
+	if err := in.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,7 +16,7 @@ import (
 // when the count is known, "missing=unknown" otherwise; Lamport carries
 // the upper bound of the affected interval. The streaming auditor degrades
 // the affected interval to LOSSY instead of reporting absence-based
-// violations; the batch auditor ignores meta records entirely.
+// violations, whether it meets the marker live or in a recorded tail.
 const KindTailLoss = "tail-loss"
 
 // TailLossRecord builds the synthetic loss marker for a tailed stream.

@@ -750,9 +750,3 @@ func readAdvEntries(b []byte) ([]AdvEntry, []byte, error) {
 	}
 	return out, b, nil
 }
-
-// AppendEnvelope appends env's frame to b; the allocation-free form of
-// Marshal for callers that manage their own buffers.
-func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
-	return appendFrame(b, env)
-}

@@ -104,15 +104,6 @@ func (f *Filter) HasAttr(attr string) bool {
 	return ok
 }
 
-// MatchesAttr reports whether v satisfies the filter's constraint on attr.
-// It reports false when the filter does not constrain attr; use HasAttr to
-// distinguish. This is the per-attribute primitive used by counting-based
-// matching indexes.
-func (f *Filter) MatchesAttr(attr string, v Value) bool {
-	c, ok := f.cons[attr]
-	return ok && c.matches(v)
-}
-
 // Matches reports whether a publication satisfies the filter: every
 // constrained attribute must be present with a satisfying value.
 func (f *Filter) Matches(e Event) bool {

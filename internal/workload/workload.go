@@ -92,13 +92,6 @@ func pointSub(class string, x float64) *predicate.Filter {
 	)
 }
 
-func gtSub(class string, lo float64) *predicate.Filter {
-	return predicate.MustFilter(
-		classPred(class),
-		predicate.Predicate{Attr: "x", Op: predicate.OpGt, Value: predicate.Number(lo)},
-	)
-}
-
 // BlockSpan is the width of the x-range a workload block occupies. Block b
 // of a class subscribes within [b*BlockSpan, (b+1)*BlockSpan), so covering
 // relations exist within a block but never across blocks — mirroring the

@@ -139,9 +139,11 @@ type Broker struct {
 	paused    bool
 	armed     bool // the event driver's one wake-up is posted or in service
 	clients   map[message.NodeID]ClientDeliver
-	sentSubs  map[message.SubID]map[message.NodeID]bool
-	sentAdvs  map[message.AdvID]map[message.NodeID]bool
-	reconfigs map[message.TxID]*reconfigTx
+	sentSubs  *sentSet[message.SubID]
+	sentAdvs  *sentSet[message.AdvID]
+	// reconfigs holds every movement transaction prepared here until its
+	// commit or abort has fully applied, in the form the log persists it.
+	reconfigs map[message.TxID]*store.ReconfigRecord
 	controlFn ControlSink
 	neighbors map[message.BrokerID]bool
 	done      chan struct{}
@@ -182,9 +184,7 @@ func New(cfg Config) (*Broker, error) {
 		srt:       matching.NewSRT(),
 		prt:       matching.NewPRT(),
 		clients:   make(map[message.NodeID]ClientDeliver),
-		sentSubs:  make(map[message.SubID]map[message.NodeID]bool),
-		sentAdvs:  make(map[message.AdvID]map[message.NodeID]bool),
-		reconfigs: make(map[message.TxID]*reconfigTx),
+		reconfigs: make(map[message.TxID]*store.ReconfigRecord),
 		neighbors: make(map[message.BrokerID]bool, len(cfg.Neighbors)),
 		batch:     make([]inboxItem, max(1, cfg.Workers)),
 		outcomes:  make(map[message.TxID]string),
@@ -194,6 +194,8 @@ func New(cfg Config) (*Broker, error) {
 	}
 	b.cond = sync.NewCond(&b.mu)
 	b.spaceCond = sync.NewCond(&b.mu)
+	b.sentSubs = newSentSet[message.SubID](b, store.OpSentSubMark, store.OpSentSubClear, store.OpSentSubDrop)
+	b.sentAdvs = newSentSet[message.AdvID](b, store.OpSentAdvMark, store.OpSentAdvClear, store.OpSentAdvDrop)
 	for _, n := range cfg.Neighbors {
 		b.neighbors[n] = true
 	}
@@ -210,7 +212,6 @@ func New(cfg Config) (*Broker, error) {
 		b.store = st
 		rec = st.Recovery()
 		b.applyRecovery(rec)
-		st.SetSnapshotSource(b.buildSnapshot)
 	}
 	b.initReplication(rec)
 	cfg.Net.Register(cfg.ID.Node(), b.enqueue)

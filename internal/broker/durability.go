@@ -10,11 +10,10 @@ import (
 )
 
 // This file wires the broker to its durable store: write-ahead hooks for
-// every routing-table, sent-set, and reconfiguration mutation; the
-// snapshot source the store's checkpointer captures; and the recovery path
-// that rebuilds state at New and resolves in-flight movement transactions
-// (finish decided ones, query the coordinator about in-doubt ones, abort
-// locally on timeout per the non-blocking 3PC rules).
+// every routing-table, sent-set, and reconfiguration mutation, and the
+// recovery path that rebuilds state at New and resolves in-flight movement
+// transactions (finish decided ones, query the coordinator about in-doubt
+// ones, abort locally on timeout per the non-blocking 3PC rules).
 
 // wal appends one record to the write-ahead log; a no-op without a store.
 // Appends are asynchronous (group commit) so the dispatch path never waits
@@ -59,85 +58,6 @@ func (b *Broker) DecidedOutcome(tx message.TxID) (string, bool) {
 	return out, ok
 }
 
-// buildSnapshot captures the broker's full durable state for a checkpoint.
-// It runs on the store's flusher goroutine concurrently with dispatch;
-// records written ahead of mutations the capture already reflects replay
-// idempotently on top of it.
-func (b *Broker) buildSnapshot() *store.Snapshot {
-	snap := &store.Snapshot{}
-	for _, r := range b.srt.All() {
-		snap.SRT = append(snap.SRT, store.TableRecord{
-			ID: r.ID, Client: string(r.Client), Filter: r.Filter, LastHop: string(r.LastHop),
-		})
-	}
-	for _, r := range b.prt.All() {
-		snap.PRT = append(snap.PRT, store.TableRecord{
-			ID: r.ID, Client: string(r.Client), Filter: r.Filter, LastHop: string(r.LastHop),
-		})
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	snap.SentSubs = make(map[string][]string, len(b.sentSubs))
-	for id, set := range b.sentSubs {
-		for n, ok := range set {
-			if ok {
-				snap.SentSubs[string(id)] = append(snap.SentSubs[string(id)], string(n))
-			}
-		}
-	}
-	snap.SentAdvs = make(map[string][]string, len(b.sentAdvs))
-	for id, set := range b.sentAdvs {
-		for n, ok := range set {
-			if ok {
-				snap.SentAdvs[string(id)] = append(snap.SentAdvs[string(id)], string(n))
-			}
-		}
-	}
-	if len(b.reconfigs) > 0 {
-		snap.Reconfigs = make(map[string]store.ReconfigRecord, len(b.reconfigs))
-		for tx, st := range b.reconfigs {
-			snap.Reconfigs[string(tx)] = reconfigRecord(tx, st)
-		}
-	}
-	if len(b.outcomes) > 0 {
-		snap.Outcomes = make(map[string]string, len(b.outcomes))
-		for tx, out := range b.outcomes {
-			snap.Outcomes[string(tx)] = out
-		}
-	}
-	return snap
-}
-
-// reconfigRecord converts live prepared state to its persisted form.
-// Caller holds b.mu.
-func reconfigRecord(tx message.TxID, st *reconfigTx) store.ReconfigRecord {
-	rc := store.ReconfigRecord{
-		Tx: string(tx), Client: string(st.client),
-		Source: string(st.source), Target: string(st.target),
-		PreHop: string(st.preHop), SucHop: string(st.sucHop),
-		Phase: st.phase,
-	}
-	for _, e := range st.subs {
-		rc.Subs = append(rc.Subs, store.Entry{ID: string(e.ID), Filter: e.Filter})
-	}
-	for _, e := range st.advs {
-		rc.Advs = append(rc.Advs, store.Entry{ID: string(e.ID), Filter: e.Filter})
-	}
-	for _, id := range st.flippedSubs {
-		rc.FlippedSubs = append(rc.FlippedSubs, string(id))
-	}
-	for _, id := range st.insertedSubs {
-		rc.InsertedSubs = append(rc.InsertedSubs, string(id))
-	}
-	for _, id := range st.flippedAdvs {
-		rc.FlippedAdvs = append(rc.FlippedAdvs, string(id))
-	}
-	for _, id := range st.insertedAdvs {
-		rc.InsertedAdvs = append(rc.InsertedAdvs, string(id))
-	}
-	return rc
-}
-
 // applyRecovery loads the recovered state into a fresh broker (called from
 // New, before the dispatch goroutine exists). Tables and sent-sets restore
 // silently — their history is already in both the log and any journal from
@@ -154,33 +74,21 @@ func (b *Broker) applyRecovery(rec *store.Recovery) {
 	for _, r := range st.PRT {
 		b.prt.Insert(message.SubID(r.ID), message.ClientID(r.Client), r.Filter, message.NodeID(r.LastHop))
 	}
-	for id, hops := range st.SentSubs {
-		set := make(map[message.NodeID]bool, len(hops))
-		for _, n := range hops {
-			set[message.NodeID(n)] = true
-		}
-		b.sentSubs[message.SubID(id)] = set
-	}
-	for id, hops := range st.SentAdvs {
-		set := make(map[message.NodeID]bool, len(hops))
-		for _, n := range hops {
-			set[message.NodeID(n)] = true
-		}
-		b.sentAdvs[message.AdvID(id)] = set
-	}
+	b.sentSubs.restore(st.SentSubs)
+	b.sentAdvs.restore(st.SentAdvs)
 	for tx, out := range st.Outcomes {
 		b.outcomes[message.TxID(tx)] = out
 	}
 
-	for txid, rc := range st.Reconfigs {
-		tx := message.TxID(txid)
+	for _, rc := range st.Reconfigs {
+		// rc is this iteration's own copy; restorePrepared keeps it.
 		switch rc.Phase {
 		case store.PhaseCommitted:
-			b.finishCommit(tx, rc)
+			b.applyCommit(&rc)
 		case store.PhaseAborted:
-			b.finishAbort(tx, rc)
+			b.applyAbort(&rc)
 		default:
-			b.restorePrepared(tx, rc)
+			b.restorePrepared(&rc)
 		}
 	}
 
@@ -220,74 +128,25 @@ func shadowTx(id string) (message.TxID, bool) {
 	return message.TxID(id[i+len(shadowSep):]), true
 }
 
-// finishCommit completes a commit whose decision reached the log but whose
-// table mutations may not all have: every entry of the payload ends as a
-// canonical record pointing toward the target, shadows gone. Inserts
-// overwrite and removes tolerate absence, so replaying over a fully
-// committed state is harmless.
-func (b *Broker) finishCommit(tx message.TxID, rc store.ReconfigRecord) {
+// restorePrepared reinstates an undecided movement as this broker's live
+// prepared state, re-creating any shadow records the log lost, and queues
+// the transaction for the recovery query Start sends.
+func (b *Broker) restorePrepared(rc *store.ReconfigRecord) {
+	tx, client, sucHop := message.TxID(rc.Tx), message.ClientID(rc.Client), message.NodeID(rc.SucHop)
 	for _, e := range rc.Subs {
-		b.prtRemove(message.SubID(shadowID(e.ID, tx)), tx)
-		b.prtInsert(message.SubID(e.ID), message.ClientID(rc.Client), e.Filter, message.NodeID(rc.SucHop), tx)
-	}
-	for _, e := range rc.Advs {
-		b.srtRemove(message.AdvID(shadowID(e.ID, tx)), tx)
-		b.srtInsert(message.AdvID(e.ID), message.ClientID(rc.Client), e.Filter, message.NodeID(rc.SucHop), tx)
-	}
-	b.wal(store.Record{Op: store.OpTxDone, Tx: string(tx)})
-}
-
-// finishAbort completes an abort: every shadow of the payload is removed,
-// canonical records untouched.
-func (b *Broker) finishAbort(tx message.TxID, rc store.ReconfigRecord) {
-	for _, e := range rc.Subs {
-		b.prtRemove(message.SubID(shadowID(e.ID, tx)), tx)
-	}
-	for _, e := range rc.Advs {
-		b.srtRemove(message.AdvID(shadowID(e.ID, tx)), tx)
-	}
-	b.wal(store.Record{Op: store.OpTxDone, Tx: string(tx)})
-}
-
-// restorePrepared rebuilds the in-memory prepared state of an undecided
-// movement, re-creating any shadow records the log lost, and queues the
-// transaction for the recovery query Start sends.
-func (b *Broker) restorePrepared(tx message.TxID, rc store.ReconfigRecord) {
-	st := &reconfigTx{
-		client: message.ClientID(rc.Client),
-		source: message.BrokerID(rc.Source), target: message.BrokerID(rc.Target),
-		preHop: message.NodeID(rc.PreHop), sucHop: message.NodeID(rc.SucHop),
-		phase: store.PhasePrepared,
-	}
-	for _, e := range rc.Subs {
-		st.subs = append(st.subs, message.SubEntry{ID: message.SubID(e.ID), Filter: e.Filter})
-		if sid := message.SubID(shadowID(e.ID, tx)); b.prt.Get(sid) == nil {
-			b.prtInsert(sid, st.client, e.Filter, st.sucHop, tx)
+		if sid := shadowID(message.SubID(e.ID), tx); b.prt.Get(sid) == nil {
+			b.prtInsert(sid, client, e.Filter, sucHop, tx)
 		}
 	}
 	for _, e := range rc.Advs {
-		st.advs = append(st.advs, message.AdvEntry{ID: message.AdvID(e.ID), Filter: e.Filter})
-		if aid := message.AdvID(shadowID(e.ID, tx)); b.srt.Get(aid) == nil {
-			b.srtInsert(aid, st.client, e.Filter, st.sucHop, tx)
+		if aid := shadowID(message.AdvID(e.ID), tx); b.srt.Get(aid) == nil {
+			b.srtInsert(aid, client, e.Filter, sucHop, tx)
 		}
 	}
-	for _, id := range rc.FlippedSubs {
-		st.flippedSubs = append(st.flippedSubs, message.SubID(id))
-	}
-	for _, id := range rc.InsertedSubs {
-		st.insertedSubs = append(st.insertedSubs, message.SubID(id))
-	}
-	for _, id := range rc.FlippedAdvs {
-		st.flippedAdvs = append(st.flippedAdvs, message.AdvID(id))
-	}
-	for _, id := range rc.InsertedAdvs {
-		st.insertedAdvs = append(st.insertedAdvs, message.AdvID(id))
-	}
-	b.mu.Lock()
-	b.reconfigs[tx] = st
-	b.mu.Unlock()
+	b.reconfigs[tx] = rc
 	b.indoubt = append(b.indoubt, message.MoveHeader{
-		Tx: tx, Client: st.client, Source: st.source, Target: st.target,
+		Tx: tx, Client: client,
+		Source: message.BrokerID(rc.Source), Target: message.BrokerID(rc.Target),
 	})
 }
 
@@ -348,7 +207,7 @@ func (b *Broker) queryTimedOut(hdr message.MoveHeader) {
 	b.mu.Lock()
 	delete(b.queryTimers, hdr.Tx)
 	st, ok := b.reconfigs[hdr.Tx]
-	unresolved := ok && st.phase == store.PhasePrepared
+	unresolved := ok && st.Phase == store.PhasePrepared
 	stopped := b.stopped
 	b.mu.Unlock()
 	if !unresolved || stopped {

@@ -5,36 +5,6 @@ import (
 	"padres/internal/store"
 )
 
-// reconfigTx is the per-broker prepared state of one movement transaction:
-// which of the moving client's records existed here (flipped) versus were
-// newly created (inserted), plus the path directions at this broker. The
-// full entry payloads (subs/advs) are retained so the state can be
-// checkpointed and the transaction finished after a crash.
-type reconfigTx struct {
-	client message.ClientID
-	source message.BrokerID
-	target message.BrokerID
-	// preHop points toward the movement's source; sucHop toward the
-	// target. At the endpoint brokers the respective hop is the client's
-	// own node.
-	preHop message.NodeID
-	sucHop message.NodeID
-
-	subs []message.SubEntry
-	advs []message.AdvEntry
-
-	flippedSubs  []message.SubID
-	insertedSubs []message.SubID
-	flippedAdvs  []message.AdvID
-	insertedAdvs []message.AdvID
-
-	// phase tracks the transaction through prepare → commit/abort. The
-	// entry stays in b.reconfigs until the decision's table mutations have
-	// fully applied, so a snapshot cut mid-decision still carries the
-	// metadata recovery needs to finish the job.
-	phase string
-}
-
 // ReconfigCount returns the number of movement transactions currently
 // prepared at this broker (for tests and introspection).
 func (b *Broker) ReconfigCount() int {
@@ -42,7 +12,7 @@ func (b *Broker) ReconfigCount() int {
 	defer b.mu.Unlock()
 	n := 0
 	for _, st := range b.reconfigs {
-		if st.phase == store.PhasePrepared {
+		if st.Phase == store.PhasePrepared {
 			n++
 		}
 	}
@@ -111,9 +81,9 @@ func (b *Broker) handleMoveAbort(m message.MoveAbort, from message.NodeID) {
 // the three PRT cases of the paper.
 //
 // The prepare record reaches the write-ahead log only after every shadow
-// insert, carrying the complete classification; a crash before it leaves
-// orphan shadows the recovery path rolls back (the approval was never
-// forwarded, so the movement cannot have committed through this hop).
+// insert; a crash before it leaves orphan shadows the recovery path rolls
+// back (the approval was never forwarded, so the movement cannot have
+// committed through this hop).
 func (b *Broker) prepareReconfig(m message.MoveApprove) {
 	b.mu.Lock()
 	if _, dup := b.reconfigs[m.Tx]; dup {
@@ -122,39 +92,36 @@ func (b *Broker) prepareReconfig(m message.MoveApprove) {
 	}
 	b.mu.Unlock()
 
-	tx := &reconfigTx{
-		client: m.Client, source: m.Source, target: m.Target,
-		subs: m.Subs, advs: m.Advs, phase: store.PhasePrepared,
-	}
+	// preHop points toward the movement's source, sucHop toward the target;
+	// at the endpoint brokers the respective hop is the client's own node.
+	var preHop, sucHop message.NodeID
 	if b.cfg.ID == m.Source {
-		tx.preHop = message.ClientNode(m.Client, m.Source)
+		preHop = message.ClientNode(m.Client, m.Source)
 	} else if hop, err := b.nextHopToward(m.Source); err == nil {
-		tx.preHop = hop.Node()
+		preHop = hop.Node()
 	}
 	if b.cfg.ID == m.Target {
-		tx.sucHop = message.ClientNode(m.Client, m.Target)
+		sucHop = message.ClientNode(m.Client, m.Target)
 	} else if hop, err := b.nextHopToward(m.Target); err == nil {
-		tx.sucHop = hop.Node()
+		sucHop = hop.Node()
+	}
+	st := &store.ReconfigRecord{
+		Tx: string(m.Tx), Client: string(m.Client),
+		Source: string(m.Source), Target: string(m.Target),
+		PreHop: string(preHop), SucHop: string(sucHop),
+		Phase: store.PhasePrepared,
+		Subs:  make([]store.Entry, 0, len(m.Subs)),
+		Advs:  make([]store.Entry, 0, len(m.Advs)),
 	}
 
 	for _, se := range m.Subs {
-		if b.prt.Get(se.ID) != nil {
-			tx.flippedSubs = append(tx.flippedSubs, se.ID)
-		} else {
-			tx.insertedSubs = append(tx.insertedSubs, se.ID)
-		}
-		sid := message.SubID(shadowID(string(se.ID), m.Tx))
-		b.prtInsert(sid, m.Client, se.Filter, tx.sucHop, m.Tx)
+		st.Subs = append(st.Subs, store.Entry{ID: string(se.ID), Filter: se.Filter})
+		b.prtInsert(shadowID(se.ID, m.Tx), m.Client, se.Filter, sucHop, m.Tx)
 	}
 
 	for _, ae := range m.Advs {
-		if b.srt.Get(ae.ID) != nil {
-			tx.flippedAdvs = append(tx.flippedAdvs, ae.ID)
-		} else {
-			tx.insertedAdvs = append(tx.insertedAdvs, ae.ID)
-		}
-		aid := message.AdvID(shadowID(string(ae.ID), m.Tx))
-		b.srtInsert(aid, m.Client, ae.Filter, tx.sucHop, m.Tx)
+		st.Advs = append(st.Advs, store.Entry{ID: string(ae.ID), Filter: ae.Filter})
+		b.srtInsert(shadowID(ae.ID, m.Tx), m.Client, ae.Filter, sucHop, m.Tx)
 
 		// PRT cases (1) and (3): subscriptions intersecting the moved
 		// advertisement whose last hop is not the new direction must be
@@ -162,106 +129,98 @@ func (b *Broker) prepareReconfig(m message.MoveApprove) {
 		// new position can reach them. Case (2) entries (last hop already
 		// toward the target) become stale, which the paper's consistency
 		// definition permits.
-		if !b.isNeighbor(tx.sucHop) {
+		if !b.isNeighbor(sucHop) {
 			continue
 		}
 		for _, rec := range b.prt.Intersecting(ae.Filter) {
-			if isShadowID(rec.ID) || rec.Client == m.Client || rec.LastHop == tx.sucHop {
+			if isShadowID(rec.ID) || rec.Client == m.Client || rec.LastHop == sucHop {
 				continue
 			}
 			id := message.SubID(canonicalID(rec.ID))
-			b.maybeSendSub(id, rec.Client, rec.Filter, tx.sucHop, m.Tx)
+			b.maybeSendSub(id, rec.Client, rec.Filter, sucHop, m.Tx)
 		}
 	}
 
 	b.mu.Lock()
-	b.reconfigs[m.Tx] = tx
-	rec := reconfigRecord(m.Tx, tx)
+	b.reconfigs[m.Tx] = st
 	b.mu.Unlock()
 	b.wal(store.Record{
-		Op: store.OpTxPrepare, Tx: string(m.Tx), Client: string(tx.client),
-		Source: string(tx.source), Target: string(tx.target),
-		PreHop: string(tx.preHop), SucHop: string(tx.sucHop),
-		Subs: rec.Subs, Advs: rec.Advs,
-		FlippedSubs: rec.FlippedSubs, InsertedSubs: rec.InsertedSubs,
-		FlippedAdvs: rec.FlippedAdvs, InsertedAdvs: rec.InsertedAdvs,
+		Op: store.OpTxPrepare, Tx: st.Tx, Client: st.Client,
+		Source: st.Source, Target: st.Target, PreHop: st.PreHop, SucHop: st.SucHop,
+		Subs: st.Subs, Advs: st.Advs,
 	})
 }
 
-// commitReconfig deletes the old routing configuration and renames the
-// shadow records to their canonical identifiers. The commit transition is
-// logged before the mutations and the transaction retired (OpTxDone) only
-// after them, so recovery from any interleaved crash re-applies the
-// remaining renames idempotently.
-func (b *Broker) commitReconfig(tx message.TxID) {
+// decideReconfig moves a prepared transaction to its decided phase and logs
+// the transition ahead of the table mutations; nil when tx is unknown here
+// or already decided. The entry stays in b.reconfigs until retireReconfig,
+// so the log always carries what recovery needs to finish the job.
+func (b *Broker) decideReconfig(tx message.TxID, phase string, op store.Op) *store.ReconfigRecord {
 	b.mu.Lock()
 	st, ok := b.reconfigs[tx]
-	if !ok || st.phase != store.PhasePrepared {
+	if !ok || st.Phase != store.PhasePrepared {
 		b.mu.Unlock()
-		return
+		return nil
 	}
-	st.phase = store.PhaseCommitted
+	st.Phase = phase
 	b.resolveQueryTimer(tx)
 	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpTxCommit, Tx: string(tx)})
+	b.wal(store.Record{Op: op, Tx: string(tx)})
+	return st
+}
 
-	promoteSub := func(id message.SubID) {
-		sh := b.prtRemove(message.SubID(shadowID(string(id), tx)), tx)
-		if sh != nil {
-			b.prtInsert(id, st.client, sh.Filter, sh.LastHop, tx)
-		}
-	}
-	for _, id := range st.flippedSubs {
-		b.prtRemove(id, tx)
-		promoteSub(id)
-	}
-	for _, id := range st.insertedSubs {
-		promoteSub(id)
-	}
-
-	promoteAdv := func(id message.AdvID) {
-		sh := b.srtRemove(message.AdvID(shadowID(string(id), tx)), tx)
-		if sh != nil {
-			b.srtInsert(id, st.client, sh.Filter, sh.LastHop, tx)
-		}
-	}
-	for _, id := range st.flippedAdvs {
-		b.srtRemove(id, tx)
-		promoteAdv(id)
-	}
-	for _, id := range st.insertedAdvs {
-		promoteAdv(id)
-	}
-
+// retireReconfig forgets a transaction whose decision has fully applied.
+func (b *Broker) retireReconfig(tx message.TxID) {
 	b.mu.Lock()
 	delete(b.reconfigs, tx)
 	b.mu.Unlock()
 	b.wal(store.Record{Op: store.OpTxDone, Tx: string(tx)})
+}
+
+// commitReconfig deletes the old routing configuration: every entry of the
+// prepared payload ends as a canonical record pointing toward the target,
+// its shadow gone.
+func (b *Broker) commitReconfig(tx message.TxID) {
+	if st := b.decideReconfig(tx, store.PhaseCommitted, store.OpTxCommit); st != nil {
+		b.applyCommit(st)
+	}
+}
+
+// applyCommit performs a decided commit's table mutations. Inserts replace
+// by ID and removes tolerate absence, so it is idempotent: recovery runs it
+// over a commit that a crash interrupted after any number of them.
+func (b *Broker) applyCommit(st *store.ReconfigRecord) {
+	tx, client, sucHop := message.TxID(st.Tx), message.ClientID(st.Client), message.NodeID(st.SucHop)
+	for _, e := range st.Subs {
+		id := message.SubID(e.ID)
+		b.prtRemove(shadowID(id, tx), tx)
+		b.prtInsert(id, client, e.Filter, sucHop, tx)
+	}
+	for _, e := range st.Advs {
+		id := message.AdvID(e.ID)
+		b.srtRemove(shadowID(id, tx), tx)
+		b.srtInsert(id, client, e.Filter, sucHop, tx)
+	}
+	b.retireReconfig(tx)
 }
 
 // abortReconfig deletes the prepared shadow records, restoring the routing
 // tables to exactly their pre-movement content (routing-layer isolation).
 func (b *Broker) abortReconfig(tx message.TxID) {
-	b.mu.Lock()
-	st, ok := b.reconfigs[tx]
-	if !ok || st.phase != store.PhasePrepared {
-		b.mu.Unlock()
-		return
+	if st := b.decideReconfig(tx, store.PhaseAborted, store.OpTxAbort); st != nil {
+		b.applyAbort(st)
 	}
-	st.phase = store.PhaseAborted
-	b.resolveQueryTimer(tx)
-	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpTxAbort, Tx: string(tx)})
+}
 
-	for _, id := range append(append([]message.SubID{}, st.flippedSubs...), st.insertedSubs...) {
-		b.prtRemove(message.SubID(shadowID(string(id), tx)), tx)
+// applyAbort performs a decided abort's table mutations; idempotent like
+// applyCommit, and shared with recovery the same way.
+func (b *Broker) applyAbort(st *store.ReconfigRecord) {
+	tx := message.TxID(st.Tx)
+	for _, e := range st.Subs {
+		b.prtRemove(shadowID(message.SubID(e.ID), tx), tx)
 	}
-	for _, id := range append(append([]message.AdvID{}, st.flippedAdvs...), st.insertedAdvs...) {
-		b.srtRemove(message.AdvID(shadowID(string(id), tx)), tx)
+	for _, e := range st.Advs {
+		b.srtRemove(shadowID(message.AdvID(e.ID), tx), tx)
 	}
-
-	b.mu.Lock()
-	delete(b.reconfigs, tx)
-	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpTxDone, Tx: string(tx)})
+	b.retireReconfig(tx)
 }

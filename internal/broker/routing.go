@@ -16,7 +16,7 @@ import (
 // that created its shadow (the prepared revised routing configuration).
 const shadowSep = "~"
 
-func shadowID(id string, tx message.TxID) string { return id + shadowSep + string(tx) }
+func shadowID[ID ~string](id ID, tx message.TxID) ID { return id + ID(shadowSep+string(tx)) }
 
 func isShadowID(id string) bool { return strings.Contains(id, shadowSep) }
 
@@ -85,94 +85,74 @@ func (b *Broker) prtRemove(id message.SubID, tx message.TxID) *matching.Record {
 
 // --- sent-tracking ----------------------------------------------------------
 
-func (b *Broker) wasSentSub(id message.SubID, n message.NodeID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sentSubs[id][n]
+// sentSet records which neighbors each filter of one kind (subscription or
+// advertisement) was forwarded to — the quenching state the covering
+// optimization depends on. It is guarded by the broker's mutex and every
+// change is written ahead under the kind's own three op codes.
+type sentSet[ID ~string] struct {
+	b                       *Broker
+	to                      map[ID]map[message.NodeID]bool
+	markOp, clearOp, dropOp store.Op
 }
 
-func (b *Broker) markSentSub(id message.SubID, n message.NodeID) {
-	b.mu.Lock()
-	set, ok := b.sentSubs[id]
+func newSentSet[ID ~string](b *Broker, markOp, clearOp, dropOp store.Op) *sentSet[ID] {
+	return &sentSet[ID]{b: b, to: make(map[ID]map[message.NodeID]bool), markOp: markOp, clearOp: clearOp, dropOp: dropOp}
+}
+
+func (s *sentSet[ID]) has(id ID, n message.NodeID) bool {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	return s.to[id][n]
+}
+
+func (s *sentSet[ID]) mark(id ID, n message.NodeID) {
+	s.b.mu.Lock()
+	set, ok := s.to[id]
 	if !ok {
 		set = make(map[message.NodeID]bool)
-		b.sentSubs[id] = set
+		s.to[id] = set
 	}
 	set[n] = true
-	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpSentSubMark, ID: string(id), Hop: string(n)})
+	s.b.mu.Unlock()
+	s.b.wal(store.Record{Op: s.markOp, ID: string(id), Hop: string(n)})
 }
 
-func (b *Broker) clearSentSub(id message.SubID, n message.NodeID) {
-	b.mu.Lock()
-	delete(b.sentSubs[id], n)
-	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpSentSubClear, ID: string(id), Hop: string(n)})
+func (s *sentSet[ID]) clear(id ID, n message.NodeID) {
+	s.b.mu.Lock()
+	delete(s.to[id], n)
+	s.b.mu.Unlock()
+	s.b.wal(store.Record{Op: s.clearOp, ID: string(id), Hop: string(n)})
 }
 
-func (b *Broker) sentSubTargets(id message.SubID) []message.NodeID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]message.NodeID, 0, len(b.sentSubs[id]))
-	for n, ok := range b.sentSubs[id] {
-		if ok {
-			out = append(out, n)
-		}
+// targets returns the neighbors the filter was forwarded to, sorted.
+func (s *sentSet[ID]) targets(id ID) []message.NodeID {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	out := make([]message.NodeID, 0, len(s.to[id]))
+	for n := range s.to[id] {
+		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func (b *Broker) dropSentSub(id message.SubID) {
-	b.mu.Lock()
-	delete(b.sentSubs, id)
-	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpSentSubDrop, ID: string(id)})
+func (s *sentSet[ID]) drop(id ID) {
+	s.b.mu.Lock()
+	delete(s.to, id)
+	s.b.mu.Unlock()
+	s.b.wal(store.Record{Op: s.dropOp, ID: string(id)})
 }
 
-func (b *Broker) wasSentAdv(id message.AdvID, n message.NodeID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sentAdvs[id][n]
-}
-
-func (b *Broker) markSentAdv(id message.AdvID, n message.NodeID) {
-	b.mu.Lock()
-	set, ok := b.sentAdvs[id]
-	if !ok {
-		set = make(map[message.NodeID]bool)
-		b.sentAdvs[id] = set
-	}
-	set[n] = true
-	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpSentAdvMark, ID: string(id), Hop: string(n)})
-}
-
-func (b *Broker) clearSentAdv(id message.AdvID, n message.NodeID) {
-	b.mu.Lock()
-	delete(b.sentAdvs[id], n)
-	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpSentAdvClear, ID: string(id), Hop: string(n)})
-}
-
-func (b *Broker) sentAdvTargets(id message.AdvID) []message.NodeID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]message.NodeID, 0, len(b.sentAdvs[id]))
-	for n, ok := range b.sentAdvs[id] {
-		if ok {
-			out = append(out, n)
+// restore loads the recovered set (called from New, before dispatch runs;
+// the state is already in the log, so nothing is written).
+func (s *sentSet[ID]) restore(saved map[string][]string) {
+	for id, hops := range saved {
+		set := make(map[message.NodeID]bool, len(hops))
+		for _, n := range hops {
+			set[message.NodeID(n)] = true
 		}
+		s.to[ID(id)] = set
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (b *Broker) dropSentAdv(id message.AdvID) {
-	b.mu.Lock()
-	delete(b.sentAdvs, id)
-	b.mu.Unlock()
-	b.wal(store.Record{Op: store.OpSentAdvDrop, ID: string(id)})
 }
 
 // --- advertisement handling -------------------------------------------------
@@ -209,7 +189,7 @@ func (b *Broker) handleUnadvertise(m message.Unadvertise, from message.NodeID) {
 	if rec == nil {
 		return
 	}
-	targets := b.sentAdvTargets(m.ID)
+	targets := b.sentAdvs.targets(m.ID)
 
 	// Un-quench first: advertisements that were covered by the retracted
 	// one must now be forwarded, before the unadvertise propagates, so
@@ -228,7 +208,7 @@ func (b *Broker) handleUnadvertise(m message.Unadvertise, from message.NodeID) {
 	for _, n := range targets {
 		b.send(n, message.Unadvertise{ID: m.ID, Client: m.Client, TxTag: m.TxTag})
 	}
-	b.dropSentAdv(m.ID)
+	b.sentAdvs.drop(m.ID)
 }
 
 // maybeSendAdv forwards an advertisement to neighbor n unless it was
@@ -241,7 +221,7 @@ func (b *Broker) maybeSendAdv(id message.AdvID, client message.ClientID, f *pred
 	if !b.isNeighbor(n) {
 		return
 	}
-	if b.wasSentAdv(id, n) {
+	if b.sentAdvs.has(id, n) {
 		return
 	}
 	if rec := b.srt.Get(id); rec != nil && rec.LastHop == n {
@@ -252,22 +232,22 @@ func (b *Broker) maybeSendAdv(id message.AdvID, client message.ClientID, f *pred
 			if isShadowID(cov.ID) || cov.LastHop == n {
 				continue
 			}
-			if b.wasSentAdv(message.AdvID(cov.ID), n) {
+			if b.sentAdvs.has(message.AdvID(cov.ID), n) {
 				return // quenched by a covering advertisement
 			}
 		}
 	}
 	b.send(n, message.Advertise{ID: id, Client: client, Filter: f, TxTag: tag})
-	b.markSentAdv(id, n)
+	b.sentAdvs.mark(id, n)
 	if b.cfg.Covering {
 		for _, covered := range b.srt.CoveredBy(f, id) {
 			if isShadowID(covered.ID) {
 				continue
 			}
 			cid := message.AdvID(covered.ID)
-			if b.wasSentAdv(cid, n) {
+			if b.sentAdvs.has(cid, n) {
 				b.send(n, message.Unadvertise{ID: cid, Client: covered.Client, TxTag: tag})
-				b.clearSentAdv(cid, n)
+				b.sentAdvs.clear(cid, n)
 			}
 		}
 	}
@@ -297,7 +277,7 @@ func (b *Broker) handleUnsubscribe(m message.Unsubscribe, from message.NodeID) {
 	if rec == nil {
 		return
 	}
-	targets := b.sentSubTargets(m.ID)
+	targets := b.sentSubs.targets(m.ID)
 
 	// Un-quench before propagating the unsubscription: subscriptions that
 	// were covered by the retracted one — and therefore never forwarded —
@@ -322,7 +302,7 @@ func (b *Broker) handleUnsubscribe(m message.Unsubscribe, from message.NodeID) {
 	for _, n := range targets {
 		b.send(n, message.Unsubscribe{ID: m.ID, Client: m.Client, TxTag: m.TxTag})
 	}
-	b.dropSentSub(m.ID)
+	b.sentSubs.drop(m.ID)
 }
 
 // subNeedsHop reports whether the subscription must be forwarded to n to
@@ -345,7 +325,7 @@ func (b *Broker) maybeSendSub(id message.SubID, client message.ClientID, f *pred
 	if !b.isNeighbor(n) {
 		return
 	}
-	if b.wasSentSub(id, n) {
+	if b.sentSubs.has(id, n) {
 		return
 	}
 	if rec := b.prt.Get(id); rec != nil && rec.LastHop == n {
@@ -356,22 +336,22 @@ func (b *Broker) maybeSendSub(id message.SubID, client message.ClientID, f *pred
 			if isShadowID(cov.ID) || cov.LastHop == n {
 				continue
 			}
-			if b.wasSentSub(message.SubID(cov.ID), n) {
+			if b.sentSubs.has(message.SubID(cov.ID), n) {
 				return // quenched by a covering subscription
 			}
 		}
 	}
 	b.send(n, message.Subscribe{ID: id, Client: client, Filter: f, TxTag: tag})
-	b.markSentSub(id, n)
+	b.sentSubs.mark(id, n)
 	if b.cfg.Covering {
 		for _, covered := range b.prt.CoveredBy(f, id) {
 			if isShadowID(covered.ID) {
 				continue
 			}
 			cid := message.SubID(covered.ID)
-			if b.wasSentSub(cid, n) {
+			if b.sentSubs.has(cid, n) {
 				b.send(n, message.Unsubscribe{ID: cid, Client: covered.Client, TxTag: tag})
-				b.clearSentSub(cid, n)
+				b.sentSubs.clear(cid, n)
 			}
 		}
 	}

@@ -13,9 +13,11 @@
 // Generation g's durable state is snapshot-<g>.snap (absent for g=0)
 // plus the replay of wal-<g>.log. A checkpoint writes snapshot-<g+1>
 // (temp file + rename), creates wal-<g+1>, then deletes generation g.
-// Replayed records are idempotent upserts/deletes, so a record that is
-// both captured by a snapshot and present in the successor log applies
-// harmlessly twice.
+// The snapshot is the flusher's own replay of every record appended so
+// far — the store has no other snapshot source — so it carries whatever
+// the replay knows and the successor log starts exactly where it ends.
+// Replayed records are idempotent upserts/deletes, so an owner finishing
+// an interrupted operation after recovery may log a mutation twice.
 package store
 
 import (

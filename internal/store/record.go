@@ -83,16 +83,12 @@ type Record struct {
 
 	// OpTxPrepare payload: everything a recovering broker needs to rebuild
 	// the prepared reconfiguration or finish applying its resolution.
-	Source       string   `json:"src,omitempty"`
-	Target       string   `json:"dst,omitempty"`
-	PreHop       string   `json:"pre,omitempty"`
-	SucHop       string   `json:"suc,omitempty"`
-	Subs         []Entry  `json:"subs,omitempty"`
-	Advs         []Entry  `json:"advs,omitempty"`
-	FlippedSubs  []string `json:"fsubs,omitempty"`
-	InsertedSubs []string `json:"isubs,omitempty"`
-	FlippedAdvs  []string `json:"fadvs,omitempty"`
-	InsertedAdvs []string `json:"iadvs,omitempty"`
+	Source string  `json:"src,omitempty"`
+	Target string  `json:"dst,omitempty"`
+	PreHop string  `json:"pre,omitempty"`
+	SucHop string  `json:"suc,omitempty"`
+	Subs   []Entry `json:"subs,omitempty"`
+	Advs   []Entry `json:"advs,omitempty"`
 
 	// OpDecision payload.
 	Role    string `json:"role,omitempty"`    // "source" | "target"
@@ -115,19 +111,15 @@ type TableRecord struct {
 // per-broker state: the prepare payload plus the furthest phase whose
 // record reached the log.
 type ReconfigRecord struct {
-	Tx           string   `json:"tx"`
-	Client       string   `json:"client"`
-	Source       string   `json:"src"`
-	Target       string   `json:"dst"`
-	PreHop       string   `json:"pre"`
-	SucHop       string   `json:"suc"`
-	Phase        string   `json:"phase"`
-	Subs         []Entry  `json:"subs,omitempty"`
-	Advs         []Entry  `json:"advs,omitempty"`
-	FlippedSubs  []string `json:"fsubs,omitempty"`
-	InsertedSubs []string `json:"isubs,omitempty"`
-	FlippedAdvs  []string `json:"fadvs,omitempty"`
-	InsertedAdvs []string `json:"iadvs,omitempty"`
+	Tx     string  `json:"tx"`
+	Client string  `json:"client"`
+	Source string  `json:"src"`
+	Target string  `json:"dst"`
+	PreHop string  `json:"pre"`
+	SucHop string  `json:"suc"`
+	Phase  string  `json:"phase"`
+	Subs   []Entry `json:"subs,omitempty"`
+	Advs   []Entry `json:"advs,omitempty"`
 }
 
 // ReplicaDecision is the durable form of a replicated coordinator
@@ -242,8 +234,6 @@ func (rs *replayState) apply(rec Record) {
 			Tx: rec.Tx, Client: rec.Client, Source: rec.Source, Target: rec.Target,
 			PreHop: rec.PreHop, SucHop: rec.SucHop, Phase: PhasePrepared,
 			Subs: rec.Subs, Advs: rec.Advs,
-			FlippedSubs: rec.FlippedSubs, InsertedSubs: rec.InsertedSubs,
-			FlippedAdvs: rec.FlippedAdvs, InsertedAdvs: rec.InsertedAdvs,
 		}
 	case OpTxCommit:
 		if rc, ok := rs.reconfigs[rec.Tx]; ok {

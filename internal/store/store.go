@@ -78,15 +78,15 @@ type Store struct {
 	cond   *sync.Cond
 	closed bool
 
-	snapMu     sync.Mutex // guards snapSource (set once, read by flusher)
-	snapSource func() *Snapshot
-
 	// Flusher-owned state.
-	file         *os.File
-	gen          uint64
-	sinceSnap    int
-	flusherDone  chan struct{}
-	flusherState *replayState // current durable state, maintained for checkpoints without a source
+	file        *os.File
+	gen         uint64
+	sinceSnap   int
+	flusherDone chan struct{}
+	// flusherState is the replay of everything the log holds: recovery
+	// seeds it and the flusher folds each record in as it is framed, so a
+	// checkpoint is exactly the state a restart would rebuild.
+	flusherState *replayState
 }
 
 // Open recovers the data directory's durable state and readies the store
@@ -112,15 +112,6 @@ func (s *Store) Dir() string { return s.dir }
 
 // Recovery returns what Open reconstructed; never nil.
 func (s *Store) Recovery() *Recovery { return s.rec }
-
-// SetSnapshotSource installs the callback the flusher invokes to capture
-// the owner's live state at a checkpoint. Without one, checkpoints fold
-// the replayed WAL into the previous snapshot instead.
-func (s *Store) SetSnapshotSource(fn func() *Snapshot) {
-	s.snapMu.Lock()
-	s.snapSource = fn
-	s.snapMu.Unlock()
-}
 
 // Append enqueues one record for the next group commit and returns
 // immediately; the flusher goroutine encodes and writes it, so the caller
@@ -296,18 +287,7 @@ func (s *Store) writeAndSync(buf []byte, records int) error {
 // file + rename, and recovery picks the highest generation whose snapshot
 // decodes.
 func (s *Store) checkpoint() error {
-	var snap *Snapshot
-	s.snapMu.Lock()
-	src := s.snapSource
-	s.snapMu.Unlock()
-	if src != nil {
-		snap = src()
-	}
-	if snap == nil {
-		snap = s.flusherState.snapshot(s.gen + 1)
-	}
-	snap.Gen = s.gen + 1
-
+	snap := s.flusherState.snapshot(s.gen + 1)
 	payload, err := encodeSnapshot(snap)
 	if err != nil {
 		return err
@@ -348,8 +328,6 @@ func (s *Store) checkpoint() error {
 	s.file = next
 	s.gen = snap.Gen
 	s.sinceSnap = 0
-	// The checkpoint's state is the new replay base.
-	s.flusherState = newReplayState(snap)
 	if m := s.opts.Metrics; m != nil {
 		m.Snapshots.Inc()
 		m.LastSnapshotUnixNano.Set(s.clk.Now().UnixNano())

@@ -394,8 +394,10 @@ type link struct {
 	queue ring.Queue[timedEnvelope]
 	// lastAt is the latest delivery time stamped on a frame; it stays zero
 	// while no frame has carried one.
-	lastAt      time.Time
-	stopped     bool
+	lastAt  time.Time
+	stopped bool
+	// done is closed by stop(), ending the drain goroutine's latency wait.
+	done        chan struct{}
 	faults      FaultProfile
 	faultRng    *lockedRand
 	partitioned bool
@@ -420,6 +422,7 @@ func (n *Network) newLink(from, to message.NodeID, opts LinkOptions) *link {
 		to:   to,
 		opts: opts,
 		rng:  newLockedRand(opts.Seed ^ int64(hashNodes(from, to))),
+		done: make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	if opts.Faults.active() {
@@ -560,33 +563,47 @@ func (l *link) queueLocked(env message.Envelope, counted bool, epoch uint64) {
 	}
 }
 
-// pop removes the frame at the head of the queue. With wait it blocks until
-// there is one; ok is false once the link has stopped or, without wait, when
-// the queue is empty.
-func (l *link) pop(wait bool) (te timedEnvelope, ok bool) {
+// head blocks until the queue holds a frame. A frame that is due is popped
+// and returned; one still waiting out its latency stays queued, so stop()
+// can release its token, and wait says how long it has left. ok is false
+// once the link has stopped.
+func (l *link) head() (te timedEnvelope, wait time.Duration, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for wait && l.queue.Len() == 0 && !l.stopped {
+	for l.queue.Len() == 0 && !l.stopped {
 		l.cond.Wait()
 	}
-	if l.stopped || l.queue.Len() == 0 {
-		return te, false
+	if l.stopped {
+		return te, 0, false
 	}
-	return l.queue.Pop(), true
+	if at := l.queue.At(0).deliverAt; !at.IsZero() {
+		if d := l.net.clk.Until(at); d > 0 {
+			return te, d, true
+		}
+	}
+	return l.queue.Pop(), 0, true
 }
 
 // drainOne is the scheduled-mode counterpart of run(): deliver the frame at
 // the head of the queue. Events and admitted frames are 1:1; stop() empties
 // the queue, turning any still-scheduled events into no-ops.
 func (l *link) drainOne() {
-	if te, ok := l.pop(false); ok {
-		l.net.deliver(l, te)
+	l.mu.Lock()
+	if l.queue.Len() == 0 {
+		l.mu.Unlock()
+		return
 	}
+	te := l.queue.Pop()
+	l.mu.Unlock()
+	l.net.deliver(l, te)
 }
 
 func (l *link) stop() {
 	l.mu.Lock()
-	l.stopped = true
+	if !l.stopped {
+		l.stopped = true
+		close(l.done)
+	}
 	// Release accounting for anything still queued.
 	for l.queue.Len() > 0 {
 		if te := l.queue.Pop(); te.counted {
@@ -602,16 +619,27 @@ func (l *link) stop() {
 
 func (l *link) run() {
 	defer l.net.wg.Done()
+	// One timer, re-armed per delayed frame, paces the waits.
+	var timer sim.Timer
 	for {
-		te, ok := l.pop(true)
+		te, wait, ok := l.head()
 		if !ok {
 			return
 		}
-		if !te.deliverAt.IsZero() {
-			if d := l.net.clk.Until(te.deliverAt); d > 0 {
-				l.net.clk.Sleep(d)
-			}
+		if wait == 0 {
+			l.net.deliver(l, te)
+			continue
 		}
-		l.net.deliver(l, te)
+		if timer == nil {
+			timer = l.net.clk.NewTimer(wait)
+		} else {
+			timer.Reset(wait)
+		}
+		select {
+		case <-timer.C():
+		case <-l.done:
+			timer.Stop()
+			return
+		}
 	}
 }

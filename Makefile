@@ -93,7 +93,7 @@ PAIRS_BASE     ?= HEAD
 PAIRS_WORKLOAD ?= overlay_pub
 PAIRS_N        ?= 10
 
-.PHONY: all vet build test bench-test bench-pairs race flake ci bench bench-dispatch bench-reliability bench-wal bench-telemetry bench-audit-stream bench-match bench-replication bench-sim audit chaos chaos-recovery chaos-coordinator sim loc
+.PHONY: all vet build test bench-test bench-smoke bench-pairs race flake ci bench bench-dispatch bench-reliability bench-wal bench-telemetry bench-audit-stream bench-match bench-replication bench-sim audit chaos chaos-recovery chaos-coordinator sim loc
 
 all: ci
 
@@ -115,6 +115,14 @@ test:
 # `go test ./...` cannot see it.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# bench-smoke runs BENCHMARK.json's own command — bench/run.sh, its own
+# module built offline — on every workload at BENCHMARK.json's 20 s length
+# and fails on a non-zero exit, an incorrect run or a failed operation.
+# bench-test's 200 ms rig smoke never goes through run.sh or its per-window
+# sample minimums. Two to four minutes, so it is not part of ci.
+bench-smoke:
+	bash scripts/bench-smoke.sh
 
 # bench-pairs is how a performance change is judged before it is proposed
 # (bench/README.md, "End-to-end metrics"): the driver's own command on the base

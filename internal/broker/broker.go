@@ -403,10 +403,13 @@ func (b *Broker) Stats() Stats {
 	}
 }
 
-// SRTSnapshot returns a copy of the advertisement table records.
+// SRTSnapshot returns a copy of the advertisement table's record list. The
+// records themselves are the table's: a move's commit re-points a record's
+// LastHop in place, so read it only while the broker is quiescent.
 func (b *Broker) SRTSnapshot() []*matching.Record { return b.srt.All() }
 
-// PRTSnapshot returns a copy of the subscription table records.
+// PRTSnapshot returns a copy of the subscription table's record list, with
+// the same caveat as SRTSnapshot.
 func (b *Broker) PRTSnapshot() []*matching.Record { return b.prt.All() }
 
 // inboxItem is one queued envelope with its enqueue time for the

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"padres/internal/journal"
 	"padres/internal/message"
 	"padres/internal/store"
 )
@@ -186,20 +187,37 @@ func (b *Broker) commitReconfig(tx message.TxID) {
 	}
 }
 
-// applyCommit performs a decided commit's table mutations. Inserts replace
-// by ID and removes tolerate absence, so it is idempotent: recovery runs it
-// over a commit that a crash interrupted after any number of them.
+// applyCommit performs a decided commit's table mutations: each shadow goes,
+// and the canonical record ends pointing at sucHop. A move changes where a
+// record points, not what it matches (Sec. 4.4), so a record that survives
+// from rc(adv) — same client, equal filter — is re-pointed in place: its
+// slot, its postings and the match index's base and delta stay as they
+// are. Only a hop new to the path inserts. The in-place write is safe
+// because tables are read concurrently only inside planAll (dispatch.go),
+// on a run of publications, and nothing mutates a table until that run has
+// been dispatched; a commit is a control message, so it never runs during
+// one. The journal and the log see an insert either way, which recovery
+// and the auditor replay as the same replace-by-ID. A second re-point
+// changes nothing, inserts replace by ID and removes tolerate absence, so
+// it is idempotent: recovery runs it over a commit that a crash
+// interrupted after any number of them.
 func (b *Broker) applyCommit(st *store.ReconfigRecord) {
 	tx, client, sucHop := message.TxID(st.Tx), message.ClientID(st.Client), message.NodeID(st.SucHop)
 	for _, e := range st.Subs {
 		id := message.SubID(e.ID)
 		b.prtRemove(shadowID(id, tx), tx)
-		b.prtInsert(id, client, e.Filter, sucHop, tx)
+		if rec := b.prt.Get(id); rec == nil || rec.Client != client || !rec.Filter.Equal(e.Filter) || !b.prt.SetLastHop(id, sucHop) {
+			b.prt.Insert(id, client, e.Filter, sucHop)
+		}
+		b.logInsert(journal.KindPRTInsert, store.OpPRTInsert, e.ID, client, e.Filter, sucHop, tx)
 	}
 	for _, e := range st.Advs {
 		id := message.AdvID(e.ID)
 		b.srtRemove(shadowID(id, tx), tx)
-		b.srtInsert(id, client, e.Filter, sucHop, tx)
+		if rec := b.srt.Get(id); rec == nil || rec.Client != client || !rec.Filter.Equal(e.Filter) || !b.srt.SetLastHop(id, sucHop) {
+			b.srt.Insert(id, client, e.Filter, sucHop)
+		}
+		b.logInsert(journal.KindSRTInsert, store.OpSRTInsert, e.ID, client, e.Filter, sucHop, tx)
 	}
 	b.retireReconfig(tx)
 }

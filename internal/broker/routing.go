@@ -49,9 +49,15 @@ func (b *Broker) jnlRouting(kind, id string, client message.ClientID, lastHop me
 // tables through them.
 func (b *Broker) srtInsert(id message.AdvID, client message.ClientID, f *predicate.Filter, lastHop message.NodeID, tx message.TxID) {
 	b.srt.Insert(id, client, f, lastHop)
-	b.jnlRouting(journal.KindSRTInsert, string(id), client, lastHop, tx)
+	b.logInsert(journal.KindSRTInsert, store.OpSRTInsert, string(id), client, f, lastHop, tx)
+}
+
+// logInsert journals and write-ahead logs a record installed under id: the
+// record an insert leaves, whether it replaced one or re-pointed it.
+func (b *Broker) logInsert(kind string, op store.Op, id string, client message.ClientID, f *predicate.Filter, lastHop message.NodeID, tx message.TxID) {
+	b.jnlRouting(kind, id, client, lastHop, tx)
 	b.wal(store.Record{
-		Op: store.OpSRTInsert, ID: string(id), Client: string(client),
+		Op: op, ID: id, Client: string(client),
 		Filter: f, Hop: string(lastHop), Tx: string(tx),
 	})
 }
@@ -67,11 +73,7 @@ func (b *Broker) srtRemove(id message.AdvID, tx message.TxID) *matching.Record {
 
 func (b *Broker) prtInsert(id message.SubID, client message.ClientID, f *predicate.Filter, lastHop message.NodeID, tx message.TxID) {
 	b.prt.Insert(id, client, f, lastHop)
-	b.jnlRouting(journal.KindPRTInsert, string(id), client, lastHop, tx)
-	b.wal(store.Record{
-		Op: store.OpPRTInsert, ID: string(id), Client: string(client),
-		Filter: f, Hop: string(lastHop), Tx: string(tx),
-	})
+	b.logInsert(journal.KindPRTInsert, store.OpPRTInsert, string(id), client, f, lastHop, tx)
 }
 
 func (b *Broker) prtRemove(id message.SubID, tx message.TxID) *matching.Record {

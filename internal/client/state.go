@@ -12,8 +12,9 @@ import (
 // The client stub's state can be serialized into the MoveState message's
 // AppState payload, which is how the paper's protocol actually ships a
 // client between sites. In-process deployments short-circuit through a
-// shared directory; across processes (the TCP deployment) the target
-// coordinator reconstructs the stub from this serialized form.
+// shared directory and carry no payload; across processes (the TCP
+// deployment) the target coordinator reconstructs the stub from this
+// serialized form.
 //
 // The payload is the compact binary form (docs/PROTOCOL.md, "Wire codec"):
 // a version byte, then the stub fields with map keys in sorted order so the
@@ -25,7 +26,10 @@ const stateVersion = 1
 // Serialize captures the stub's application-relevant state: installed
 // filters, the exactly-once delivery history, undelivered notifications,
 // queued commands, and the identifier counter. It is valid while the client
-// is stopped for a movement (PauseMove or PrepareStop).
+// is stopped for a movement (PauseMove or PrepareStop). Its cost grows with
+// the delivery history, so the movement protocol calls it only for a target
+// in another process; an in-process target finds the stub in the shared
+// directory.
 func (c *Client) Serialize() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -83,15 +83,33 @@ type AdmissionFunc func(m message.MoveNegotiate) error
 // Directory is the shared client registry through which the target
 // container obtains the client being transferred. In a distributed
 // deployment the client state travels inside the MoveState message; the
-// in-process directory stands in for deserializing it.
+// in-process directory stands in for deserializing it. It also knows which
+// brokers' containers were built on it: a move toward one of those needs no
+// serialized state, because the target resolves the client here.
 type Directory struct {
-	mu sync.Mutex
-	m  map[message.ClientID]*client.Client
+	mu      sync.Mutex
+	m       map[message.ClientID]*client.Client
+	brokers map[message.BrokerID]bool
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{m: make(map[message.ClientID]*client.Client)}
+	return &Directory{m: make(map[message.ClientID]*client.Client), brokers: make(map[message.BrokerID]bool)}
+}
+
+// register records that the broker's container resolves clients here.
+func (d *Directory) register(b message.BrokerID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.brokers[b] = true
+}
+
+// local reports whether the broker's container was built on this directory,
+// so a client moving there is found here without its serialized state.
+func (d *Directory) local(b message.BrokerID) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.brokers[b]
 }
 
 // Put registers a client.
@@ -221,6 +239,7 @@ func NewContainer(cfg Config) *Container {
 		txgen:  message.NewIDGen("mv-" + string(cfg.Broker.ID())),
 		stop:   make(chan struct{}),
 	}
+	cfg.Directory.register(cfg.Broker.ID())
 	cfg.Broker.SetControlSink(ct.handleControl)
 	return ct
 }

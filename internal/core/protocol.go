@@ -364,13 +364,16 @@ func (ct *Container) onApprove(m message.MoveApprove) {
 		}
 	}
 
-	// Ship the full stub state: in-process targets resolve the client via
-	// the shared directory, but a remote target (TCP deployment)
-	// reconstructs the stub from this payload — message (4) is the actual
-	// vehicle of the client's state, as in the paper.
-	appState, err := st.c.Serialize()
-	if err != nil {
-		appState = nil
+	// Ship the full stub state only where it is read: a remote target (TCP
+	// deployment) reconstructs the stub from this payload — message (4) is
+	// the actual vehicle of the client's state, as in the paper — while a
+	// target in this process resolves the client through the shared
+	// directory and would throw the payload away.
+	var appState []byte
+	if !ct.cfg.Directory.local(m.Target) {
+		if appState, err = st.c.Serialize(); err != nil {
+			appState = nil
+		}
 	}
 	ct.emit(EventStateSent, m.Tx, m.Client, fmt.Sprintf("%d buffered notifications", len(buffered)))
 	_ = ct.cfg.Broker.SendControl(message.MoveState{

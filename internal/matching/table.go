@@ -270,8 +270,10 @@ func (t *table) Get(id string) *Record {
 // SetLastHop updates the last hop of a record in place. It reports whether
 // the record exists. The records are shared with match snapshots, so
 // callers must not run SetLastHop concurrently with matching on the same
-// table (the broker's serialized control lane guarantees this). Covering
-// caches survive: the last hop participates in no matching relation.
+// table (the broker's serialized control lane guarantees this). Neither the
+// slot, the postings nor the match index's base or delta change, and
+// covering caches survive: the last hop participates in no matching
+// relation.
 func (t *table) SetLastHop(id string, hop message.NodeID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -689,8 +691,9 @@ func (s *SRT) Remove(id message.AdvID) *Record { return s.t.Remove(string(id)) }
 // Get returns the advertisement record, or nil.
 func (s *SRT) Get(id message.AdvID) *Record { return s.t.Get(string(id)) }
 
-// SetLastHop rewires the advertisement's last hop (used by the hop-by-hop
-// reconfiguration protocol).
+// SetLastHop rewires the advertisement's last hop in place: the hop-by-hop
+// reconfiguration's commit re-points a surviving record with it instead of
+// re-inserting it, so the match index is untouched.
 func (s *SRT) SetLastHop(id message.AdvID, hop message.NodeID) bool {
 	return s.t.SetLastHop(string(id), hop)
 }
@@ -746,8 +749,9 @@ func (p *PRT) Remove(id message.SubID) *Record { return p.t.Remove(string(id)) }
 // Get returns the subscription record, or nil.
 func (p *PRT) Get(id message.SubID) *Record { return p.t.Get(string(id)) }
 
-// SetLastHop rewires the subscription's last hop (used by the hop-by-hop
-// reconfiguration protocol).
+// SetLastHop rewires the subscription's last hop in place: the hop-by-hop
+// reconfiguration's commit re-points a surviving record with it instead of
+// re-inserting it, so the match index is untouched.
 func (p *PRT) SetLastHop(id message.SubID, hop message.NodeID) bool {
 	return p.t.SetLastHop(string(id), hop)
 }
